@@ -22,7 +22,7 @@ from .constructions import construct_named, supersoluble_family, verify_family
 from .engine import evaluate
 from .errors import IngletonError, TimeBudgetExceeded
 from .groups import GroupSpec, build_group
-from .search import SearchOptions, search_offenders
+from .search import DEFAULT_TIME_BUDGET, SearchOptions, search_offenders
 
 SCORE_TOLERANCE = 5e-5
 
@@ -39,7 +39,7 @@ class CatalogueEntry:
     expected_scores: tuple[float, ...] = ()
     expected_classes: int | None = None
     assert_classes: bool = False
-    budget: float = 1800.0
+    budget: float = DEFAULT_TIME_BUDGET
 
 
 def _named(name, *params):

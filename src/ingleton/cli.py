@@ -17,7 +17,8 @@ from .errors import BadParams, IngletonError, TimeBudgetExceeded
 from .groups import DEFAULT_ORDER_CAP, build_group, matrix_spec, perm_spec
 from .permutations import split_generator_list
 from .records import class_record, read_records, summary_record, verify_record, write_records
-from .search import ALL_FILTERS, SearchOptions, search_offenders
+from .search import ALL_FILTERS, DEFAULT_TIME_BUDGET, REQUIRE_LEVELS, SearchOptions, search_offenders
+from .subgroups import DEFAULT_SUBGROUP_CAP
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -85,9 +86,7 @@ def cmd_search(args) -> int:
         spec = _group_spec_from_args(args)
         G = build_group(spec, cap=args.cap)
         opts = SearchOptions(
-            require_generative=True,
-            require_irreducible=args.require in ("irreducible", "indomitable"),
-            require_indomitable=args.require == "indomitable",
+            require=args.require,
             minimal_mode=args.minimal,
             disable_filters=tuple(args.no_filter or ()),
             max_subgroups=args.max_subgroups,
@@ -151,7 +150,8 @@ def cmd_verify(args) -> int:
     checked = 0
     bad = 0
     for i, record in enumerate(records, start=1):
-        if record.get("type") not in ("offender-class", "quadruple"):
+        # a line that is not an object is checked, so verify_record reports it
+        if isinstance(record, dict) and record.get("type") not in ("offender-class", "quadruple"):
             continue
         checked += 1
         mismatches = verify_record(record, cap=args.cap)
@@ -189,11 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--minimal", action="store_true", help="keep only quadruples satisfying the minimal-violator generation constraints")
     p_search.add_argument("--no-filter", action="append", metavar="NAME",
                           help=f"disable a pruning filter (repeatable; 'all' for oracle mode); names: {', '.join(ALL_FILTERS)}")
-    p_search.add_argument("--budget", type=float, default=1800.0, help="time budget in seconds (default 1800)")
-    p_search.add_argument("--require", choices=("generative", "irreducible", "indomitable"),
+    p_search.add_argument("--budget", type=float, default=DEFAULT_TIME_BUDGET,
+                          help=f"time budget in seconds (default {DEFAULT_TIME_BUDGET:g})")
+    p_search.add_argument("--require", choices=REQUIRE_LEVELS,
                           default="generative", help="classification level required of emitted classes")
     p_search.add_argument("--cap", type=int, default=DEFAULT_ORDER_CAP, help="group order cap")
-    p_search.add_argument("--max-subgroups", type=int, default=20000, help="subgroup lattice cap")
+    p_search.add_argument("--max-subgroups", type=int, default=DEFAULT_SUBGROUP_CAP, help="subgroup lattice cap")
     p_search.add_argument("--out", help="output file for JSON-lines records (default stdout)")
     p_search.set_defaults(func=cmd_search)
 

@@ -166,21 +166,29 @@ def evaluate(
     with_irreducible: bool = False,
     with_indomitable: bool = False,
 ) -> IngletonReport:
+    G = Q.group
     t = ingleton_terms(Q)
     report = IngletonReport(
         terms=t,
         lhs=t.lhs,
         rhs=t.rhs,
         ratio=Fraction(t.rhs, t.lhs),
-        score=score_value(t, Q.group.n),
+        score=score_value(t, G.n),
         offender=t.lhs < t.rhs,
     )
     if with_generative or with_irreducible or with_indomitable:
         report.generative = is_generative(Q)
     if with_irreducible or with_indomitable:
-        report.irreducible = report.generative and all(core(Q.group, h).order == 1 for h in Q.subs)
+        # no role contains a nontrivial normal subgroup of G
+        report.irreducible = report.generative and all(core(G, h).order == 1 for h in Q.subs)
     if with_indomitable:
-        report.indomitable = _indomitable_given_irreducible(Q) if report.irreducible else False
+        # no quotient by a proper nontrivial normal subgroup keeps an offender image
+        projections = (
+            _quotient_cached(G, N.bits)[1] for N in normal_subgroups(G) if 1 < N.order < G.n
+        )
+        report.indomitable = report.irreducible and not any(
+            is_offender(Quadruple(*(image_subgroup(proj, h) for h in Q.subs))) for proj in projections
+        )
     return report
 
 
@@ -197,7 +205,7 @@ def is_generative(Q: Quadruple) -> bool:
 
 def is_irreducible(Q: Quadruple) -> bool:
     """Generative, with no role containing a nontrivial normal subgroup of G."""
-    return is_generative(Q) and all(core(Q.group, h).order == 1 for h in Q.subs)
+    return evaluate(Q, with_irreducible=True).irreducible
 
 
 def _quotient_cached(G: GroupTable, kernel_bits: int):
@@ -209,26 +217,15 @@ def _quotient_cached(G: GroupTable, kernel_bits: int):
     return entry
 
 
-def _indomitable_given_irreducible(Q: Quadruple) -> bool:
-    G = Q.group
-    for N in normal_subgroups(G):
-        if N.order == 1 or N.order == G.n:
-            continue
-        _, proj = _quotient_cached(G, N.bits)
-        image = Quadruple(*(image_subgroup(proj, h) for h in Q.subs))
-        if is_offender(image):
-            return False
-    return True
-
-
 def is_indomitable(Q: Quadruple) -> bool:
     """No quotient by a nontrivial normal subgroup carries the image to an offender.
 
     Only defined for irreducible quadruples, per the classification chain.
     """
-    if not is_irreducible(Q):
+    report = evaluate(Q, with_indomitable=True)
+    if not report.irreducible:
         raise PreconditionFailed("indomitability is defined for irreducible quadruples")
-    return _indomitable_given_irreducible(Q)
+    return report.indomitable
 
 
 # ---------------------------------------------------------------------------
@@ -242,25 +239,31 @@ def _generated_from_bits(G: GroupTable, *member_bits: int) -> Subgroup:
     return Subgroup(G, closure_ids(G, bits_to_ids(combined)))
 
 
-def shrink_h1(Q: Quadruple) -> Quadruple:
-    """Replace H1 by <H13, H14>; preserves offender status."""
-    G = Q.group
-    b13 = Q.h1.bits & Q.h3.bits
-    b14 = Q.h1.bits & Q.h4.bits
-    new_h1 = _generated_from_bits(G, b13, b14)
-    return replace(Q, h1=new_h1)
-
-
+# Each rule (role, (Hij, Hkl)) replaces the role by <Hij, Hkl>.
+_SHRINK_H1 = ("h1", ("h13", "h14"))
 _REDUCTION_RULES = (
     ("h1", ("h12", "h13")),
     ("h1", ("h12", "h14")),
-    ("h1", ("h13", "h14")),
+    _SHRINK_H1,
     ("h2", ("h12", "h23")),
     ("h2", ("h12", "h24")),
     ("h2", ("h23", "h24")),
     ("h3", ("h13", "h23")),
     ("h4", ("h14", "h24")),
 )
+
+
+def _apply_rule(Q: Quadruple, rule) -> Quadruple:
+    role, pairs = rule
+    b = Q.bits_tuple()
+    # "hij" names the intersection of roles i and j
+    meets = (b[int(p[1]) - 1] & b[int(p[2]) - 1] for p in pairs)
+    return replace(Q, **{role: _generated_from_bits(Q.group, *meets)})
+
+
+def shrink_h1(Q: Quadruple) -> Quadruple:
+    """Replace H1 by <H13, H14>; preserves offender status."""
+    return _apply_rule(Q, _SHRINK_H1)
 
 
 def saturate(Q: Quadruple) -> Quadruple:
@@ -270,24 +273,13 @@ def saturate(Q: Quadruple) -> Quadruple:
     symmetric identities for H2, plus H3 = <H13,H23> and H4 = <H14,H24>.
     Each single step preserves offender status, so the fixed point does too.
     """
-    G = Q.group
     while True:
-        b = {"h1": Q.h1.bits, "h2": Q.h2.bits, "h3": Q.h3.bits, "h4": Q.h4.bits}
-        pair = {
-            "h12": b["h1"] & b["h2"],
-            "h13": b["h1"] & b["h3"],
-            "h14": b["h1"] & b["h4"],
-            "h23": b["h2"] & b["h3"],
-            "h24": b["h2"] & b["h4"],
-        }
-        changed = False
-        for role, (p1, p2) in _REDUCTION_RULES:
-            target = _generated_from_bits(G, pair[p1], pair[p2])
-            if target.bits != b[role]:
-                Q = replace(Q, **{role: target})
-                changed = True
+        for rule in _REDUCTION_RULES:
+            reduced = _apply_rule(Q, rule)
+            if reduced != Q:
+                Q = reduced
                 break
-        if not changed:
+        else:
             return Q
 
 

@@ -143,7 +143,9 @@ def spec_from_json(data: dict) -> GroupSpec:
     if variant == "matrix":
         return matrix_spec(int(data["q"]), data["generators"])
     if variant == "named":
-        return Named(str(data["name"]), tuple(int(p) for p in data["params"]))
+        # wreath2 params lead with the inner constructor's name, e.g. ["alt", 4]
+        params = tuple(p if isinstance(p, str) else int(p) for p in data["params"])
+        return Named(str(data["name"]), params)
     if variant == "direct_product":
         return DirectProduct(spec_from_json(data["left"]), spec_from_json(data["right"]))
     if variant == "quotient":
@@ -310,6 +312,35 @@ def bits_to_ids(bits: int) -> list[int]:
     return out
 
 
+def generating_set(G: GroupTable, bits: int) -> tuple[int, ...]:
+    """A small generating set for the subgroup with this membership bitset.
+
+    Greedy: walk members in id order, keeping each element not yet generated.
+    Deterministic, and short (at most log2 of the order) in practice.
+    """
+    gens: list[int] = []
+    cur = 1
+    for x in bits_to_ids(bits):
+        if x and not (cur >> x) & 1:
+            gens.append(x)
+            cur = closure_ids(G, gens)
+            if cur == bits:
+                break
+    return tuple(gens)
+
+
+def is_normal_bits(G: GroupTable, bits: int) -> bool:
+    """True iff conjugation by every group generator maps the subgroup into itself."""
+    members = bits_to_ids(bits)
+    inv = G.inv
+    for g in dict.fromkeys(G.gen_ids):
+        gi = inv[g]
+        for x in members:
+            if not (bits >> G.mul(G.mul(g, x), gi)) & 1:
+                return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Building
 
@@ -464,14 +495,10 @@ class Projection:
 def quotient_by_bits(G: GroupTable, kernel_bits: int, spec=None):
     """Quotient of G by the normal subgroup with the given membership bitset."""
     members = bits_to_ids(kernel_bits)
-    inv = G.inv
-    for g in dict.fromkeys(G.gen_ids):
-        gi = inv[g]
-        for x in members:
-            if not (kernel_bits >> G.mul(G.mul(g, x), gi)) & 1:
-                raise NotNormal(
-                    f"subgroup of order {len(members)} is not normal (conjugation by generator moves it)"
-                )
+    if not is_normal_bits(G, kernel_bits):
+        raise NotNormal(
+            f"subgroup of order {len(members)} is not normal (conjugation by generator moves it)"
+        )
     n = G.n
     rep = [-1] * n
     for a in range(n):
@@ -481,15 +508,7 @@ def quotient_by_bits(G: GroupTable, kernel_bits: int, spec=None):
             rep[G.mul(a, x)] = a  # a is the least element of its coset: ids scan ascending
     if spec is None:
         # record a small generating set of the kernel, not every member
-        kgens: list[int] = []
-        cur = 1
-        for x in members:
-            if x and not (cur >> x) & 1:
-                kgens.append(x)
-                cur = closure_ids(G, kgens)
-                if cur == kernel_bits:
-                    break
-        spec = Quotient(G.spec, tuple(G.word_str(x) for x in kgens))
+        spec = Quotient(G.spec, tuple(G.word_str(x) for x in generating_set(G, kernel_bits)))
 
     def mul_c(a, b):
         return rep[G.mul(a, b)]

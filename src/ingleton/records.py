@@ -9,6 +9,7 @@ decimal strings, the reduced ratio, the score, and classification flags.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .engine import IngletonReport, Quadruple, evaluate
@@ -82,15 +83,29 @@ def rebuild_quadruple(record: dict, cap: int | None = None) -> Quadruple:
     return Quadruple(*subs)
 
 
+def _object_field(record: dict, key: str, mismatches: list[str]) -> dict:
+    """The record's ``key`` if it is a JSON object (or absent); else a mismatch and {}."""
+    value = record.get(key, {})
+    if isinstance(value, dict):
+        return value
+    mismatches.append(f"{key}: recorded {value!r}, expected an object")
+    return {}
+
+
 def verify_record(record: dict, cap: int | None = None) -> list[str]:
-    """Recompute the full report from generator words; return all mismatches."""
+    """Recompute the full report from generator words; return all mismatches.
+
+    A malformed record yields mismatches, never an exception.
+    """
+    if not isinstance(record, dict):
+        return [f"record is not a JSON object: {record!r}"]
     mismatches: list[str] = []
     try:
         Q = rebuild_quadruple(record, cap=cap)
     except Exception as exc:  # unparseable spec or words: report, don't crash
         return [f"rebuild failed: {exc}"]
     G = Q.group
-    flags = record.get("flags", {})
+    flags = _object_field(record, "flags", mismatches)
     report = evaluate(
         Q,
         with_generative=flags.get("generative") is not None,
@@ -103,7 +118,7 @@ def verify_record(record: dict, cap: int | None = None) -> list[str]:
         if entry.get("order") != sub.order:
             mismatches.append(f"{role} order: recorded {entry.get('order')}, rebuilt {sub.order}")
     terms = report.terms.to_json()
-    for key, value in record.get("terms", {}).items():
+    for key, value in _object_field(record, "terms", mismatches).items():
         if key not in terms:
             mismatches.append(f"unknown term {key}")
         elif terms[key] != value:
@@ -112,10 +127,18 @@ def verify_record(record: dict, cap: int | None = None) -> list[str]:
         mismatches.append(f"lhs: recorded {record.get('lhs')}, recomputed {report.lhs}")
     if record.get("rhs") != str(report.rhs):
         mismatches.append(f"rhs: recorded {record.get('rhs')}, recomputed {report.rhs}")
-    ratio = record.get("ratio", {})
-    if Fraction(int(ratio.get("num", 0)), int(ratio.get("den", 1))) != report.ratio:
+    ratio = _object_field(record, "ratio", mismatches)
+    try:
+        recorded_ratio = Fraction(int(ratio.get("num", 0)), int(ratio.get("den", 1)))
+    except (TypeError, ValueError, ZeroDivisionError):
+        recorded_ratio = None
+    if recorded_ratio != report.ratio:
         mismatches.append(f"ratio: recorded {ratio}, recomputed {report.ratio}")
-    if abs(float(record.get("score", 0.0)) - report.score) > 1e-9:
+    try:
+        recorded_score = float(record.get("score", 0.0))
+    except (TypeError, ValueError):
+        recorded_score = math.nan
+    if not abs(recorded_score - report.score) <= 1e-9:  # a NaN score mismatches too
         mismatches.append(f"score: recorded {record.get('score')}, recomputed {report.score}")
     recomputed_flags = report.flags_json()
     for name, value in flags.items():

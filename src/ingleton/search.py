@@ -21,12 +21,12 @@ from dataclasses import dataclass, replace
 
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams, TimeBudgetExceeded
-from .groups import GroupTable
+from .groups import GroupTable, generating_set
 from .subgroups import (
     DEFAULT_SUBGROUP_CAP,
     Subgroup,
     all_subgroups,
-    generating_set,
+    conjugate_bits,
     is_cyclic,
     is_normal,
     is_prime_power,
@@ -50,18 +50,25 @@ ALL_FILTERS = (
     FILTER_FACTORIZED_H12,
 )
 
+# Classification levels a search can require of the classes it keeps, weakest
+# first; each names the IngletonReport flag that decides it.
+REQUIRE_LEVELS = ("generative", "irreducible", "indomitable")
+DEFAULT_TIME_BUDGET = 1800.0
+
 
 @dataclass(frozen=True)
 class SearchOptions:
-    require_generative: bool = True
-    require_irreducible: bool = False
-    require_indomitable: bool = False
+    require: str = "generative"
     minimal_mode: bool = False
     disable_filters: tuple[str, ...] = ()
     max_subgroups: int = DEFAULT_SUBGROUP_CAP
-    time_budget: float | None = 1800.0
+    time_budget: float | None = DEFAULT_TIME_BUDGET
 
     def __post_init__(self):
+        if self.require not in REQUIRE_LEVELS:
+            raise BadParams(
+                f"unknown require level {self.require!r}; known: {', '.join(REQUIRE_LEVELS)}"
+            )
         unknown = set(self.disable_filters) - set(ALL_FILTERS) - {"all"}
         if unknown:
             raise BadParams(
@@ -85,21 +92,11 @@ class OffenderClass:
         return self.representative.bits_tuple()
 
 
-def _conjugate_bits(perm, bits: int) -> int:
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << perm[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 def _orbit_of(G: GroupTable, tup: tuple[int, int, int, int]):
     """All quadruple bit-tuples reachable by conjugation and the two swaps."""
     orbit = set()
     for g in range(G.n):
-        perm = G.conj_perm(g)
-        c1, c2, c3, c4 = (_conjugate_bits(perm, b) for b in tup)
+        c1, c2, c3, c4 = (conjugate_bits(G, b, g) for b in tup)
         orbit.add((c1, c2, c3, c4))
         orbit.add((c2, c1, c3, c4))
         orbit.add((c1, c2, c4, c3))
@@ -202,6 +199,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
 
     seen: dict[tuple[int, int, int, int], bool] = {}
     found: list[OffenderClass] = []
+    level = REQUIRE_LEVELS.index(opts.require)
 
     def handle_hit(i1, i2, i3, i4):
         raw = (bits[i1], bits[i2], bits[i3], bits[i4])
@@ -209,20 +207,15 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             return
         orbit = _orbit_of(G, raw)
         canon = min(orbit)
-        keep = True
         rep = Quadruple(*(Subgroup(G, b) for b in canon))
         report = evaluate(
             rep,
             with_generative=True,
-            with_irreducible=opts.require_irreducible or opts.require_indomitable,
-            with_indomitable=opts.require_indomitable,
+            with_irreducible=level >= 1,
+            with_indomitable=level >= 2,
         )
-        if opts.require_generative and not report.generative:
-            keep = False
-        if keep and opts.require_irreducible and not report.irreducible:
-            keep = False
-        if keep and opts.require_indomitable and not report.indomitable:
-            keep = False
+        # each level implies the ones before it, so its own flag decides
+        keep = getattr(report, opts.require)
         if keep and opts.minimal_mode and not minimal_constraints(rep):
             keep = False
         for member in orbit:

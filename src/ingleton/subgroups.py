@@ -11,7 +11,7 @@ one table lookup per element of the result instead of one per word.
 from __future__ import annotations
 
 from .errors import OrderCapExceeded, ParentMismatch
-from .groups import GroupTable, Projection, bits_to_ids, closure_ids
+from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits
 
 DEFAULT_SUBGROUP_CAP = 20000
 
@@ -64,29 +64,8 @@ def _check_same_parent(*subs: Subgroup) -> GroupTable:
     return parent
 
 
-def generating_set(G: GroupTable, bits: int) -> tuple[int, ...]:
-    """A small generating set for the subgroup with this membership bitset.
-
-    Greedy: walk members in id order, keeping each element not yet generated.
-    Deterministic, and short (at most log2 of the order) in practice.
-    """
-    gens: list[int] = []
-    cur = 1
-    for x in bits_to_ids(bits):
-        if x and not (cur >> x) & 1:
-            gens.append(x)
-            cur = closure_ids(G, gens)
-            if cur == bits:
-                break
-    return tuple(gens)
-
-
 def trivial_subgroup(G: GroupTable) -> Subgroup:
     return Subgroup(G, 1, ())
-
-
-def full_subgroup(G: GroupTable) -> Subgroup:
-    return Subgroup(G, (1 << G.n) - 1, G.gen_ids)
 
 
 def generated_subgroup(G: GroupTable, elems) -> Subgroup:
@@ -160,21 +139,17 @@ def is_product_subgroup(A: Subgroup, B: Subgroup) -> bool:
 def is_normal(G: GroupTable, H: Subgroup) -> bool:
     if H.parent is not G:
         raise ParentMismatch("subgroup belongs to a different group")
-    bits = H.bits
-    members = H.member_ids()
-    for g in dict.fromkeys(G.gen_ids):
-        gi = G.inv[g]
-        for x in members:
-            if not (bits >> G.mul(G.mul(g, x), gi)) & 1:
-                return False
-    return True
+    return is_normal_bits(G, H.bits)
 
 
 def conjugate_bits(G: GroupTable, bits: int, g: int) -> int:
+    """Membership bitset of g*H*g^-1 given that of H."""
     perm = G.conj_perm(g)
     out = 0
-    for x in bits_to_ids(bits):
-        out |= 1 << perm[x]
+    while bits:
+        low = bits & -bits
+        out |= 1 << perm[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
@@ -208,27 +183,6 @@ def core(G: GroupTable, H: Subgroup) -> Subgroup:
     for b in _bits_orbit(G, H.bits):
         out &= b
     return Subgroup(G, out)
-
-
-def normal_closure_bits(G: GroupTable, elems) -> int:
-    conj_closed: list[int] = []
-    seen: set[int] = set()
-    for e in elems:
-        if e in seen:
-            continue
-        orbit = [e]
-        seen.add(e)
-        head = 0
-        while head < len(orbit):
-            x = orbit[head]
-            head += 1
-            for g in dict.fromkeys(G.gen_ids):
-                y = G.conjugate(g, x)
-                if y not in seen:
-                    seen.add(y)
-                    orbit.append(y)
-        conj_closed.extend(orbit)
-    return closure_ids(G, conj_closed)
 
 
 def element_conjugacy_classes(G: GroupTable) -> list[list[int]]:

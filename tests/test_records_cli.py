@@ -11,12 +11,14 @@ from ingleton.records import (
     class_record,
     quadruple_record,
     read_records,
+    summary_record,
     verify_record,
     write_records,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_EXAMPLE = REPO_ROOT / "data" / "psl27_example.jsonl"
+GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_s5_a4a4.jsonl"
 
 
 def run_cli(*argv):
@@ -55,6 +57,33 @@ def test_quadruple_record_of_example():
     assert rec["group_order"] == 504
     assert rec["ratio"] == {"num": 9, "den": 8}
     assert verify_record(rec) == []
+
+
+def test_wreath2_record_verifies():
+    # wreath2 params lead with a constructor name, which must survive the JSON round trip
+    from ingleton.constructions import construct_named
+    from ingleton.engine import Quadruple, evaluate
+    from ingleton.groups import build_group
+    from ingleton.search import _orbit_of
+    from ingleton.subgroups import all_subgroups
+
+    G = build_group(construct_named("wreath2", ("sym", 3)))
+    subs = all_subgroups(G)
+    Q = Quadruple(subs[-2], subs[-3], subs[len(subs) // 2], subs[len(subs) // 3])
+    report = evaluate(Q, with_irreducible=True, with_indomitable=True)
+    rec = json.loads(json.dumps(quadruple_record(Q, report, len(_orbit_of(G, Q.bits_tuple())))))
+    assert rec["group"]["params"] == ["sym", 3]
+    assert verify_record(rec) == []
+
+
+def test_golden_search_records(s5_group, s5_classes, a4a4_group, a4a4_classes):
+    # records of the default S5 and A4xA4 searches, pinned byte for byte
+    buf = io.StringIO()
+    for G, classes in ((s5_group, s5_classes), (a4a4_group, a4a4_classes)):
+        summary = summary_record(G, classes, True, 0.0)
+        del summary["elapsed_seconds"]
+        write_records([class_record(c) for c in classes] + [summary], buf)
+    assert buf.getvalue() == GOLDEN_RECORDS.read_text(encoding="utf-8")
 
 
 def test_cli_search_s3_empty(capsys):
@@ -131,6 +160,28 @@ def test_cli_shipped_example_record(capsys):
     assert SHIPPED_EXAMPLE.exists()
     assert run_cli("verify", str(SHIPPED_EXAMPLE)) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        pytest.param(lambda r: {**r, "ratio": {**r["ratio"], "num": "nine"}}, id="ratio-num-not-integer"),
+        pytest.param(lambda r: {**r, "ratio": 9}, id="ratio-not-object"),
+        pytest.param(lambda r: {**r, "score": "high"}, id="score-not-numeric"),
+        pytest.param(lambda r: {**r, "score": float("nan")}, id="score-nan"),
+        pytest.param(lambda r: {**r, "terms": list(r["terms"].values())}, id="terms-is-list"),
+        pytest.param(lambda r: {**r, "flags": ["offender"]}, id="flags-is-list"),
+        pytest.param(lambda r: [r], id="line-not-object"),
+    ],
+)
+def test_cli_verify_reports_malformed_record(mutate, tmp_path, capsys):
+    record = json.loads(SHIPPED_EXAMPLE.read_text(encoding="utf-8"))
+    bad_file = tmp_path / "bad.jsonl"
+    bad_file.write_text(json.dumps(mutate(record)) + "\n")
+    assert run_cli("verify", str(bad_file)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("record 1: ")
+    assert "Traceback" not in err
 
 
 def test_cli_verify_missing_file(capsys):

@@ -7,6 +7,7 @@ from ingleton.errors import BadParams, TimeBudgetExceeded
 from ingleton.groups import build_group
 from ingleton.search import (
     ALL_FILTERS,
+    REQUIRE_LEVELS,
     SearchOptions,
     canonical_class,
     minimal_constraints,
@@ -36,6 +37,11 @@ def test_s5_single_class(s5_classes):
 def test_unknown_filter_name_rejected():
     with pytest.raises(BadParams):
         SearchOptions(disable_filters=("not-a-filter",))
+
+
+def test_unknown_require_level_rejected():
+    with pytest.raises(BadParams):
+        SearchOptions(require="offender")
 
 
 def test_canonical_class_idempotent_and_orbit_constant(s5_classes, s5_group):
@@ -131,13 +137,22 @@ def test_time_budget_exceeded_carries_partial():
     assert isinstance(info.value.partial, list)
 
 
+def test_require_levels_keep_the_s5_class(s5_group):
+    # the S5 offender class is indomitable, so every level keeps it with its flag set
+    for level in REQUIRE_LEVELS:
+        classes = search_offenders(s5_group, SearchOptions(require=level))
+        assert len(classes) == 1
+        assert getattr(classes[0].report, level) is True
+
+
 def test_require_irreducible_and_indomitable_levels():
     # GL2(5)'s published row counts indomitable classes only; the cheap proxy
-    # here is C2 x S5, whose single generative class survives both levels
+    # here is C2 x S5, which has 19 generative classes and none at either
+    # stricter level, so only the counts are compared
     G = build_group(product(named("cyclic", 2), named("sym", 5)))
     gen = search_offenders(G)
-    irr = search_offenders(G, SearchOptions(require_irreducible=True))
-    ind = search_offenders(G, SearchOptions(require_indomitable=True))
+    irr = search_offenders(G, SearchOptions(require="irreducible"))
+    ind = search_offenders(G, SearchOptions(require="indomitable"))
     assert len(irr) <= len(gen)
     assert len(ind) <= len(irr)
     for c in irr:

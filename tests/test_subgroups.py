@@ -180,6 +180,18 @@ def test_normal_subgroups_examples():
     assert any(N.order == 5 for N in normal_subgroups(G500))
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7)],
+    ids=["S4", "A5", "S5", "PSL2(7)"],
+)
+def test_normal_subgroups_are_the_normal_members_of_the_lattice(spec):
+    # normal_subgroups never enumerates the lattice, so the two sides are independent
+    G = build_group(spec)
+    lattice_normals = [s.bits for s in all_subgroups(G) if is_normal(G, s)]
+    assert [N.bits for N in normal_subgroups(G)] == lattice_normals
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(build_group(named("cyclic", 6)))) == 4
     assert len(all_subgroups(build_group(named("dihedral", 4)))) == 10
