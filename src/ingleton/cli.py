@@ -1,13 +1,16 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification/catalogue mismatch, 2 invalid input,
-3 time budget exhausted (partial results are still emitted, flagged).
+3 time budget exhausted (partial results are still emitted, flagged).  A
+command whose stdout is closed before its output is written (say, piped into
+``head``) stops quietly with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -144,13 +147,11 @@ def cmd_verify(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IngletonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     checked = 0
     bad = 0
     for i, record in enumerate(records, start=1):
-        # a line that is not an object is checked, so verify_record reports it
+        # a line that is not an object (or not JSON) is checked, so
+        # verify_record reports it
         if isinstance(record, dict) and record.get("type") not in ("offender-class", "quadruple"):
             continue
         checked += 1
@@ -224,7 +225,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again (the recipe of the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_MISMATCH
+    return code
 
 
 if __name__ == "__main__":

@@ -92,11 +92,17 @@ def _object_field(record: dict, key: str, mismatches: list[str]) -> dict:
     return {}
 
 
+class InvalidLine(str):
+    """A line ``read_records`` could not parse; holds the decoder's message."""
+
+
 def verify_record(record: dict, cap: int | None = None) -> list[str]:
     """Recompute the full report from generator words; return all mismatches.
 
     A malformed record yields mismatches, never an exception.
     """
+    if isinstance(record, InvalidLine):
+        return [f"not valid JSON: {record}"]
     if not isinstance(record, dict):
         return [f"record is not a JSON object: {record!r}"]
     mismatches: list[str] = []
@@ -159,14 +165,16 @@ def write_records(records, stream) -> None:
         stream.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def read_records(stream) -> list[dict]:
+def read_records(stream) -> list:
+    """One parsed value per non-blank line; a line that is not valid JSON
+    becomes an ``InvalidLine``, which ``verify_record`` reports."""
     out = []
-    for i, line in enumerate(stream, start=1):
+    for line in stream:
         line = line.strip()
         if not line:
             continue
         try:
             out.append(json.loads(line))
         except json.JSONDecodeError as exc:
-            raise BadParams(f"line {i} is not valid JSON: {exc}") from exc
+            out.append(InvalidLine(f"{exc.msg} at column {exc.colno}"))
     return out

@@ -8,9 +8,16 @@ a symmetry).  Every pruning filter implements a proven exclusion criterion,
 so disabling filters changes runtime, never results; full canonicalization
 happens only on hits, which are rare.
 
-All pairwise intersection orders are tabulated up front; the innermost loop
-is a handful of table lookups, two bitset intersections and one integer
-comparison per candidate quadruple.
+Each role criterion depends on one subgroup and each pair criterion on two
+subgroups and the order of their meet, so all of them are decided once, up
+front, as bitmasks over subgroup indices.  Role masks: ``h12_mask`` leaves out
+cyclic and normal subgroups, ``h34_mask`` prime-power cyclic ones.  Partner
+masks: ``apart[i]`` holds every j where neither of Hi, Hj contains the other,
+and ``meets[i]`` the members of ``apart[i]`` that meet Hi nontrivially.  The
+loops walk intersections of these masks; a disabled filter leaves its mask
+full.  What stays in the loops is the join-order test of ``product-h1h2``
+once per (H1, H2), and per H4 candidate the factorized-H12 test and one
+integer comparison over tabulated intersection orders.
 """
 
 from __future__ import annotations
@@ -152,28 +159,6 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     orders = [s.order for s in subs]
     index_of = {s.bits: i for i, s in enumerate(subs)}
 
-    cyclic = [is_cyclic(s) for s in subs]
-    ppc = [cyclic[i] and is_prime_power(orders[i]) for i in range(S)]
-    normal = [is_normal(G, s) for s in subs]
-
-    # pairwise intersection orders and nontrivial-meet adjacency masks
-    itab = [array("i", bytes(4 * S)) for _ in range(S)]
-    nontriv = [0] * S
-    for i in range(S):
-        bi = bits[i]
-        row = itab[i]
-        row[i] = orders[i]
-        for j in range(i):
-            m = (bi & bits[j]).bit_count()
-            row[j] = m
-            itab[j][i] = m
-            if m > 1:
-                nontriv[i] |= 1 << j
-                nontriv[j] |= 1 << i
-        if orders[i] > 1:
-            nontriv[i] |= 1 << i
-
-    all_mask = (1 << S) - 1
     f_noncyc = opts.filter_enabled(FILTER_NONCYCLIC_H1H2)
     f_meets = opts.filter_enabled(FILTER_NONTRIVIAL_MEETS)
     f_contain = opts.filter_enabled(FILTER_NO_CONTAINMENT)
@@ -181,10 +166,32 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     f_ppc = opts.filter_enabled(FILTER_H3H4_PRIME_POWER)
     f_fact = opts.filter_enabled(FILTER_FACTORIZED_H12)
 
-    ppc_mask = 0
+    cyclic = [is_cyclic(s) for s in subs]
+    normal = [is_normal(G, s) for s in subs]
+
+    # role and partner masks (see the module docstring), and the pairwise
+    # intersection orders the Ingleton comparison reads
+    itab = [array("i", bytes(4 * S)) for _ in range(S)]
+    h12_mask = h34_mask = 0
+    apart = [0] * S  # apart[i]: neither of Hi, Hj contains the other
+    meets = [0] * S  # meets[i]: members of apart[i] meeting Hi nontrivially
     for i in range(S):
-        if not ppc[i]:
-            ppc_mask |= 1 << i
+        bi, oi = bits[i], orders[i]
+        if not (f_noncyc and cyclic[i]) and not (f_product and normal[i]):
+            h12_mask |= 1 << i
+        if not (f_ppc and cyclic[i] and is_prime_power(oi)):
+            h34_mask |= 1 << i
+        row = itab[i]
+        for j in range(i + 1):
+            m = (bi & bits[j]).bit_count()
+            row[j] = itab[j][i] = m
+            if f_contain and (m == oi or m == orders[j]):
+                continue
+            apart[i] |= 1 << j
+            apart[j] |= 1 << i
+            if m > 1 or not f_meets:
+                meets[i] |= 1 << j
+                meets[j] |= 1 << i
 
     order_sorted = sorted(range(S), key=lambda i: (orders[i], bits[i]))
 
@@ -197,7 +204,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     classes = subgroup_conjugacy_classes(G, subs)
     h1_reps = [index_of[cls[0].bits] for cls in classes]
 
-    seen: dict[tuple[int, int, int, int], bool] = {}
+    seen: set[tuple[int, int, int, int]] = set()
     found: list[OffenderClass] = []
     level = REQUIRE_LEVELS.index(opts.require)
 
@@ -206,6 +213,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         if raw in seen:
             return
         orbit = _orbit_of(G, raw)
+        seen.update(orbit)
         canon = min(orbit)
         rep = Quadruple(*(Subgroup(G, b) for b in canon))
         report = evaluate(
@@ -216,10 +224,8 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         )
         # each level implies the ones before it, so its own flag decides
         keep = getattr(report, opts.require)
-        if keep and opts.minimal_mode and not minimal_constraints(rep):
-            keep = False
-        for member in orbit:
-            seen[member] = keep
+        if keep and opts.minimal_mode:
+            keep = minimal_constraints(rep)
         if keep:
             found.append(OffenderClass(rep, len(orbit), report))
 
@@ -231,32 +237,24 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             )
 
     for i1 in h1_reps:
-        if f_noncyc and cyclic[i1]:
+        if not h12_mask >> i1 & 1:
             continue
-        b1, o1 = bits[i1], orders[i1]
-        h2_mask = (nontriv[i1] if f_meets else all_mask)
-        m2 = h2_mask
+        b1, o1, row1 = bits[i1], orders[i1], itab[i1]
+        m2 = meets[i1] & h12_mask
         while m2:
             low2 = m2 & -m2
             i2 = low2.bit_length() - 1
             m2 ^= low2
             check_budget()
-            if f_noncyc and cyclic[i2]:
-                continue
-            alpha = itab[i1][i2]
-            if f_contain and (alpha == o1 or alpha == orders[i2]):
-                continue
-            b2, o2 = bits[i2], orders[i2]
-            if f_product:
-                if normal[i1] or normal[i2]:
-                    continue
-                if o1 * o2 // alpha == smallest_superset_order(b1 | b2):
-                    continue
-            b12 = b1 & b2
-            base34 = (nontriv[i1] & nontriv[i2]) if f_meets else all_mask
-            if f_ppc:
-                base34 &= ppc_mask
+            b2, o2, row2 = bits[i2], orders[i2], itab[i2]
+            alpha = row1[i2]
+            # the join-order half of product-h1h2: H1H2 is a subgroup iff
+            # |H1||H2|/|H1 ^ H2| is the order of the smallest subgroup above both
             ab = o1 * o2
+            if f_product and ab // alpha == smallest_superset_order(b1 | b2):
+                continue
+            b12 = b1 & b2
+            base34 = meets[i1] & meets[i2] & h34_mask
             m3 = base34
             while m3:
                 low3 = m3 & -m3
@@ -264,42 +262,21 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
                 m3 ^= low3
                 if i3 & 63 == 0:
                     check_budget()
-                beta = itab[i1][i3]
-                delta = itab[i2][i3]
-                o3 = orders[i3]
-                if f_contain and (
-                    beta == o1 or beta == o3 or delta == o2 or delta == o3
-                ):
-                    continue
-                b3 = bits[i3]
-                b123 = b12 & b3
+                b123 = b12 & bits[i3]
                 d = b123.bit_count()
                 lhs_part = ab * d
-                rhs_part = alpha * beta * delta
-                row1, row2, row3 = itab[i1], itab[i2], itab[i3]
-                m4 = base34 & ~((1 << (i3 + 1)) - 1) if f_contain else base34 & ~((1 << i3) - 1)
+                rhs_part = alpha * row1[i3] * row2[i3]
+                row3 = itab[i3]
+                m4 = (base34 & apart[i3]) >> i3 << i3
                 while m4:
                     low4 = m4 & -m4
                     i4 = low4.bit_length() - 1
                     m4 ^= low4
-                    gamma = row1[i4]
-                    epsilon = row2[i4]
-                    o4 = orders[i4]
-                    if f_contain and (
-                        gamma == o1
-                        or gamma == o4
-                        or epsilon == o2
-                        or epsilon == o4
-                        or row3[i4] == o3
-                        or row3[i4] == o4
-                    ):
-                        continue
                     b4 = bits[i4]
                     e = (b12 & b4).bit_count()
-                    if f_fact:
-                        if d * e == alpha * (b123 & b4).bit_count():
-                            continue
-                    if lhs_part * row3[i4] * e < rhs_part * gamma * epsilon:
+                    if f_fact and d * e == alpha * (b123 & b4).bit_count():
+                        continue
+                    if lhs_part * row3[i4] * e < rhs_part * row1[i4] * row2[i4]:
                         handle_hit(i1, i2, i3, i4)
     found.sort(key=lambda c: c.key)
     return found

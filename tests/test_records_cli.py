@@ -184,6 +184,17 @@ def test_cli_verify_reports_malformed_record(mutate, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_verify_continues_past_invalid_json_line(tmp_path, capsys):
+    line = SHIPPED_EXAMPLE.read_text(encoding="utf-8").strip()
+    bad_file = tmp_path / "truncated.jsonl"
+    bad_file.write_text(f"{line}\n{line[:40]}\n{line}\n")
+    assert run_cli("verify", str(bad_file)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("record 2: not valid JSON: ")
+    assert len(captured.err.splitlines()) == 1
+    assert "verified 3 record(s); 1 mismatching" in captured.out
+
+
 def test_cli_verify_missing_file(capsys):
     assert run_cli("verify", "/nonexistent/records.jsonl") == 2
     capsys.readouterr()
@@ -224,6 +235,20 @@ def test_cli_entrypoint_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout.strip())["classes"] == 0
+
+
+def test_cli_search_into_closed_pipe_exits_quietly():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ingleton", "search", "--named", "sym:5"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=REPO_ROOT,
+    )
+    proc.stdout.close()  # the reader is gone before the first record
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert "Traceback" not in err
 
 
 def test_search_records_byte_identical_across_runs(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 
 from ingleton.engine import Quadruple
 from ingleton.errors import BadParams, TimeBudgetExceeded
-from ingleton.groups import build_group
+from ingleton.groups import build_group, closure_ids
 from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
@@ -159,3 +159,43 @@ def test_require_irreducible_and_indomitable_levels():
         assert c.report.irreducible
     for c in ind:
         assert c.report.indomitable
+
+
+def count_generative_offenders(G):
+    """Brute-force count of the ordered quadruples of subgroups of G that
+    offend and together generate G.
+
+    Independent of the search: no filter, conjugation or symmetry breaking,
+    only the membership matrix M of the lattice and its products.  The
+    products are at most |G|^5, which fits in int64 for |G| <= 6000.
+    """
+    np = pytest.importorskip("numpy")
+    assert G.n <= 6000
+    subs = all_subgroups(G)
+    M = np.array([[s.bits >> x & 1 for x in range(G.n)] for s in subs], dtype=np.int64)
+    inter = M @ M.T  # inter[i, j] = |Hi ^ Hj|
+    orders = np.diag(inter)
+    full = (1 << G.n) - 1
+    count = 0
+    for i1 in range(len(subs)):
+        for i2 in range(len(subs)):
+            m12 = M[i1] * M[i2]
+            h12k = M @ m12  # |H1 ^ H2 ^ Hk| for every k
+            v = inter[i1] * inter[i2]  # |H1 ^ Hk| |H2 ^ Hk|
+            lhs = orders[i1] * orders[i2] * inter * np.outer(h12k, h12k)
+            rhs = m12.sum() * np.outer(v, v)
+            for i3, i4 in zip(*np.nonzero(lhs < rhs)):
+                gens = [g for i in (i1, i2, i3, i4) for g in subs[i].gens]
+                if closure_ids(G, gens) == full:
+                    count += 1
+    return count
+
+
+def test_orbit_counting_identity_s5(s5_group, s5_classes):
+    # every generative offending ordered quadruple lies in exactly one class
+    assert count_generative_offenders(s5_group) == sum(c.size for c in s5_classes)
+
+
+@pytest.mark.slow
+def test_orbit_counting_identity_a4a4(a4a4_group, a4a4_classes):
+    assert count_generative_offenders(a4a4_group) == sum(c.size for c in a4a4_classes)

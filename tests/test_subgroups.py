@@ -196,6 +196,14 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(build_group(named("cyclic", 6)))) == 4
     assert len(all_subgroups(build_group(named("dihedral", 4)))) == 10
     assert len(all_subgroups(build_group(named("sym", 4)))) == 30
+    assert len(all_subgroups(build_group(named("alt", 5)))) == 59
+    assert len(all_subgroups(build_group(named("sym", 5)))) == 156
+    assert len(all_subgroups(build_group(named("psl2", 7)))) == 179
+
+
+def test_a6_lattice_size(a6_group):
+    # the session group caches its lattice, which the A6 search reuses
+    assert len(all_subgroups(a6_group)) == 501
 
 
 def test_all_subgroups_matches_subset_bruteforce():
