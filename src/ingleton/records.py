@@ -136,13 +136,13 @@ def verify_record(record: dict, cap: int | None = None) -> list[str]:
     ratio = _object_field(record, "ratio", mismatches)
     try:
         recorded_ratio = Fraction(int(ratio.get("num", 0)), int(ratio.get("den", 1)))
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         recorded_ratio = None
     if recorded_ratio != report.ratio:
         mismatches.append(f"ratio: recorded {ratio}, recomputed {report.ratio}")
     try:
         recorded_score = float(record.get("score", 0.0))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         recorded_score = math.nan
     if not abs(recorded_score - report.score) <= 1e-9:  # a NaN score mismatches too
         mismatches.append(f"score: recorded {record.get('score')}, recomputed {report.score}")

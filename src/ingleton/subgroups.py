@@ -3,9 +3,15 @@
 A subgroup of a group of order n is an n-bit Python int with bit i set when
 element i belongs to it.  Intersection is ``&``, order is ``bit_count()``,
 and the bitset doubles as the canonical dedup key since element ids are
-canonical per group.  The expensive operation is the join; it is computed by
-growing a union of right cosets along the Schreier graph, which costs about
-one table lookup per element of the result instead of one per word.
+canonical per group.
+
+The lattice is enumerated one conjugacy class at a time (Neubüser's cyclic
+extension).  Conjugation commutes with joins, ``<H^g, C^g> = <H, C>^g``, so
+only one representative per class is joined with the cyclic subgroups; the
+rest of each class comes from permuting the representative's bitset by
+``G.conj_perm``, which costs one step per member instead of a join closure.
+A join grows a union of right cosets along the Schreier graph, about one
+table lookup per element of the result.
 """
 
 from __future__ import annotations
@@ -158,21 +164,25 @@ def conjugate_subgroup(G: GroupTable, H: Subgroup, g: int) -> Subgroup:
     return Subgroup(G, conjugate_bits(G, H.bits, g), tuple(perm[x] for x in H.gens))
 
 
-def _bits_orbit(G: GroupTable, bits: int) -> list[int]:
-    """Orbit of a subgroup bitset under conjugation by the group generators."""
-    seen = {bits}
+def _conjugacy_class(G: GroupTable, bits: int, gens=()) -> dict[int, tuple[int, ...]]:
+    """The conjugates of a subgroup, each bitset mapped to ``gens`` conjugated alike.
+
+    A generating set of the subgroup so yields one of each conjugate.
+    """
+    found = {bits: tuple(gens)}
     frontier = [bits]
-    gens = list(dict.fromkeys(G.gen_ids))
+    conjugators = list(dict.fromkeys(G.gen_ids))
     while frontier:
         nxt = []
         for b in frontier:
-            for g in gens:
+            for g in conjugators:
                 c = conjugate_bits(G, b, g)
-                if c not in seen:
-                    seen.add(c)
+                if c not in found:
+                    perm = G.conj_perm(g)
+                    found[c] = tuple(perm[x] for x in found[b])
                     nxt.append(c)
         frontier = nxt
-    return sorted(seen)
+    return found
 
 
 def core(G: GroupTable, H: Subgroup) -> Subgroup:
@@ -180,7 +190,7 @@ def core(G: GroupTable, H: Subgroup) -> Subgroup:
     if H.parent is not G:
         raise ParentMismatch("subgroup belongs to a different group")
     out = H.bits
-    for b in _bits_orbit(G, H.bits):
+    for b in _conjugacy_class(G, H.bits):
         out &= b
     return Subgroup(G, out)
 
@@ -264,11 +274,15 @@ def cyclic_atoms(G: GroupTable) -> list[tuple[int, int, int]]:
 
 
 def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
-    """Every subgroup of G, by join-closure BFS from the cyclic subgroups.
+    """Every subgroup of G, by cyclic extension of conjugacy-class representatives.
 
     Any subgroup is a join of cyclic subgroups of its own elements, so joining
     known subgroups with cyclic atoms until a fixed point reaches all of them.
-    Raises OrderCapExceeded past ``max_subgroups`` (lattice explosion guard).
+    Since ``<H^g, C^g> = <H, C>^g``, only the first subgroup found in each
+    conjugacy class is joined with the atoms, and a new class enters whole:
+    if H = R^g for a representative R, then <H, C> is conjugate to the join
+    <R, C^(g^-1)>, which is computed.  Raises OrderCapExceeded once more than
+    ``max_subgroups`` are known (lattice explosion guard) and caches nothing.
     """
     cached = G._cache.get("all_subgroups")
     if cached is not None:
@@ -276,30 +290,31 @@ def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> l
             raise OrderCapExceeded(f"subgroup count {len(cached)} passes the cap {max_subgroups}")
         return cached
     G.require_dense()
-    atoms = cyclic_atoms(G)
     subs: dict[int, tuple[int, ...]] = {1: ()}
+    reps: list[tuple[int, tuple[int, ...]]] = []
+
+    def add_class(bits, gens):
+        subs.update(_conjugacy_class(G, bits, gens))
+        reps.append((bits, gens))
+        if len(subs) > max_subgroups:
+            raise OrderCapExceeded(
+                f"subgroup count passed the cap {max_subgroups} (group of order {G.n})"
+            )
+
+    atoms = cyclic_atoms(G)
     for bits, _, gen in atoms:
-        subs[bits] = (gen,)
-    worklist = [(bits, (gen,)) for bits, _, gen in atoms]
-    if len(subs) > max_subgroups:
-        raise OrderCapExceeded(f"subgroup count passed the cap {max_subgroups}")
+        if bits not in subs:
+            add_class(bits, (gen,))
     head = 0
-    while head < len(worklist):
-        h_bits, h_gens = worklist[head]
+    while head < len(reps):
+        h_bits, h_gens = reps[head]
         head += 1
         for c_bits, _, c_gen in atoms:
             if c_bits & h_bits == c_bits:
                 continue
             j = join_bits(G, h_bits, (c_gen,), base_gens=h_gens)
             if j not in subs:
-                gens = h_gens + (c_gen,)
-                subs[j] = gens
-                worklist.append((j, gens))
-                if len(subs) > max_subgroups:
-                    raise OrderCapExceeded(
-                        f"subgroup count passed the cap {max_subgroups} "
-                        f"(group of order {G.n})"
-                    )
+                add_class(j, h_gens + (c_gen,))
     out = [Subgroup(G, b, g) for b, g in subs.items()]
     out.sort(key=lambda s: (s.order, s.bits))
     G._cache["all_subgroups"] = out
@@ -322,7 +337,7 @@ def subgroup_conjugacy_classes(G: GroupTable, subs) -> list[list[Subgroup]]:
     for s in sorted(subs, key=lambda s: (s.order, s.bits)):
         if s.bits in assigned:
             continue
-        orbit = _bits_orbit(G, s.bits)
+        orbit = sorted(_conjugacy_class(G, s.bits))
         cls = [by_bits[b] for b in orbit if b in by_bits]
         assigned.update(orbit)
         classes.append(cls)

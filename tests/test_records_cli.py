@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ingleton.cli import main
 from ingleton.records import (
@@ -169,6 +170,8 @@ def test_cli_shipped_example_record(capsys):
         pytest.param(lambda r: {**r, "ratio": 9}, id="ratio-not-object"),
         pytest.param(lambda r: {**r, "score": "high"}, id="score-not-numeric"),
         pytest.param(lambda r: {**r, "score": float("nan")}, id="score-nan"),
+        pytest.param(lambda r: {**r, "score": 10**400}, id="score-too-large-for-float"),
+        pytest.param(lambda r: {**r, "ratio": {**r["ratio"], "num": float("inf")}}, id="ratio-num-infinite"),
         pytest.param(lambda r: {**r, "terms": list(r["terms"].values())}, id="terms-is-list"),
         pytest.param(lambda r: {**r, "flags": ["offender"]}, id="flags-is-list"),
         pytest.param(lambda r: [r], id="line-not-object"),
@@ -182,6 +185,31 @@ def test_cli_verify_reports_malformed_record(mutate, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("record 1: ")
     assert "Traceback" not in err
+
+
+# json.loads also reads NaN and Infinity, so the floats include them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8,
+)
+SHIPPED_RECORD = json.loads(SHIPPED_EXAMPLE.read_text(encoding="utf-8"))
+FIELD_PATHS = [(key,) for key in SHIPPED_RECORD] + [
+    ("subgroups", i, key) for i, entry in enumerate(SHIPPED_RECORD["subgroups"]) for key in entry
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(path=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_verify_record_never_raises_on_a_mutated_field(path, value):
+    record = json.loads(json.dumps(SHIPPED_RECORD))
+    target = record
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    problems = verify_record(record)
+    assert isinstance(problems, list)
+    assert all(isinstance(p, str) for p in problems)
 
 
 def test_cli_verify_continues_past_invalid_json_line(tmp_path, capsys):

@@ -2,11 +2,13 @@ import itertools
 
 import pytest
 
+from ingleton.constructions import dicyclic_spec, expand_named
 from ingleton.errors import OrderCapExceeded, ParentMismatch
-from ingleton.groups import build_group
+from ingleton.groups import PermutationGenerators, build_group, closure_ids
 from ingleton.permutations import parse_cycles
 from ingleton.subgroups import (
     all_subgroups,
+    conjugate_bits,
     core,
     cyclic_atoms,
     generated_subgroup,
@@ -23,7 +25,7 @@ from ingleton.subgroups import (
     trivial_subgroup,
 )
 
-from conftest import cyclic_product, named
+from conftest import cyclic_product, named, product
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +219,8 @@ def test_all_subgroups_matches_subset_bruteforce():
         cyclic_product(2, 4),
         cyclic_product(4, 4),
         named("alt", 4),
+        dicyclic_spec(2),  # Q8
     ]
-    from ingleton.constructions import dicyclic_spec
-
-    specs.append(dicyclic_spec(2))  # Q8
     for spec in specs:
         G = build_group(spec)
         assert G.n <= 16 or G.n == 12
@@ -229,18 +229,77 @@ def test_all_subgroups_matches_subset_bruteforce():
         assert got == expected, f"lattice mismatch for order {G.n}"
 
 
-def test_all_subgroups_matches_naive_join_closure_on_s4():
-    G = build_group(named("sym", 4))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        named("sym", 4),
+        named("alt", 5),
+        dicyclic_spec(2),
+        product(named("cyclic", 2), named("sym", 4)),
+        cyclic_product(2, 2, 2, 2),  # abelian: every conjugacy class is a singleton
+    ],
+    ids=["S4", "A5", "Q8", "C2xS4", "C2^4"],
+)
+def test_all_subgroups_matches_naive_join_closure(spec):
+    G = build_group(spec)
     assert {s.bits for s in all_subgroups(G)} == naive_all_subgroups(G)
 
 
-def test_all_subgroups_cap():
-    G = build_group(cyclic_product(2, 2, 2, 2))
-    G._cache.pop("all_subgroups", None)
+def normaliser_order(G, H):
+    return sum(conjugate_bits(G, H.bits, g) == H.bits for g in range(G.n))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7)],
+    ids=["S4", "A5", "S5", "PSL2(7)"],
+)
+def test_lattice_classes_obey_orbit_stabiliser(spec):
+    # a class missing a conjugate, or a subgroup counted twice, breaks the count
+    G = build_group(spec)
+    subs = all_subgroups(G)
+    assert all(closure_ids(G, s.gens) == s.bits for s in subs)  # conjugated generators
+    classes = subgroup_conjugacy_classes(G, subs)
+    for cls in classes:
+        assert len(cls) * normaliser_order(G, cls[0]) == G.n
+    assert sum(len(cls) for cls in classes) == len(subs)
+
+
+def test_lattice_independent_of_element_numbering():
+    plain = expand_named("sym", (5,))
+    sigma = (2, 4, 0, 3, 1)
+
+    def relabel(img):  # sigma * img * sigma^-1 on points
+        out = [0] * len(img)
+        for i, j in enumerate(img):
+            out[sigma[i]] = sigma[j]
+        return tuple(out)
+
+    spec = PermutationGenerators(plain.degree, tuple(relabel(g) for g in reversed(plain.generators)))
+    G, H = build_group(plain), build_group(spec)
+    subs = all_subgroups(H)
+    assert len(subs) == 156
+    assert {s.bits for s in subs} != {s.bits for s in all_subgroups(G)}  # the numbering differs
+
+    def class_sizes(K):
+        return sorted((cls[0].order, len(cls)) for cls in subgroup_conjugacy_classes(K, all_subgroups(K)))
+
+    assert class_sizes(H) == class_sizes(G)
+
+
+@pytest.mark.parametrize(
+    "spec, cap, size",
+    [
+        (cyclic_product(2, 2, 2, 2), 50, 67),
+        (named("sym", 4), 20, 30),  # the lattice grows a whole conjugacy class at a time
+    ],
+    ids=["C2^4", "S4"],
+)
+def test_all_subgroups_cap(spec, cap, size):
+    G = build_group(spec)
     with pytest.raises(OrderCapExceeded):
-        all_subgroups(G, max_subgroups=50)  # C2^4 has 67 subgroups
-    G._cache.pop("all_subgroups", None)
-    assert len(all_subgroups(G)) == 67
+        all_subgroups(G, max_subgroups=cap)
+    assert len(all_subgroups(G)) == size  # the failed call cached nothing
 
 
 def test_conjugacy_classes():
