@@ -16,8 +16,25 @@ masks: ``apart[i]`` holds every j where neither of Hi, Hj contains the other,
 and ``meets[i]`` the members of ``apart[i]`` that meet Hi nontrivially.  The
 loops walk intersections of these masks; a disabled filter leaves its mask
 full.  What stays in the loops is the join-order test of ``product-h1h2``
-once per (H1, H2), and per H4 candidate the factorized-H12 test and one
-integer comparison over tabulated intersection orders.
+once per (H1, H2), which only looks at the subgroups of order |H1H2|.
+
+The Ingleton comparison is factored through product-set sizes.  A quadruple
+offends iff |H1||H2||H34||H123||H124| < |H12||H13||H14||H23||H24|; dividing
+by |H12||H123||H124| gives
+
+    P |H34| < t3 t4,   P = |H1||H2| / |H12| = |H1H2|,
+                       tk = |H1k||H2k| / |H12k| = |H1k H2k|,
+
+exact integers because H1k ^ H2k = H12k.  H12 is in the lattice, so the row
+of H12 in the table of intersection orders gives |H12k| for every k, and the
+row ``t`` is computed once per (H1, H2) over the H3/H4 candidates, which are
+bucketed by their t value.  Since |H34| >= 1, an H4 can offend only if
+t4 > P // t3: the mask of the candidates above each distinct threshold is
+built on first use and ANDed into the H4 mask, so most H4 candidates are
+never visited, and an H3 is visited only if t3 > P // max(t).  Per visited H4
+the comparison is two list reads; the factorized-H12 test runs behind it.
+This threshold is the comparison rearranged, not a filter, so oracle mode
+(every filter off) runs the same kernel.
 """
 
 from __future__ import annotations
@@ -193,13 +210,10 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
                 meets[i] |= 1 << j
                 meets[j] |= 1 << i
 
-    order_sorted = sorted(range(S), key=lambda i: (orders[i], bits[i]))
-
-    def smallest_superset_order(u: int) -> int:
-        for j in order_sorted:
-            if u & bits[j] == u:
-                return orders[j]
-        raise AssertionError("no subgroup contains the union")
+    # the subgroups of each order, for the join-order test of product-h1h2
+    of_order: dict[int, list[int]] = {}
+    for b, o in zip(bits, orders):
+        of_order.setdefault(o, []).append(b)
 
     classes = subgroup_conjugacy_classes(G, subs)
     h1_reps = [index_of[cls[0].bits] for cls in classes]
@@ -246,37 +260,57 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             i2 = low2.bit_length() - 1
             m2 ^= low2
             check_budget()
-            b2, o2, row2 = bits[i2], orders[i2], itab[i2]
+            b2, row2 = bits[i2], itab[i2]
             alpha = row1[i2]
-            # the join-order half of product-h1h2: H1H2 is a subgroup iff
-            # |H1||H2|/|H1 ^ H2| is the order of the smallest subgroup above both
-            ab = o1 * o2
-            if f_product and ab // alpha == smallest_superset_order(b1 | b2):
+            P = o1 * orders[i2] // alpha  # |H1H2|
+            # the join-order half of product-h1h2: every subgroup above H1 and
+            # H2 holds the P elements of H1H2, so H1H2 is a subgroup iff a
+            # subgroup of order P contains both
+            u = b1 | b2
+            if f_product and any(u & b == u for b in of_order.get(P, ())):
                 continue
             b12 = b1 & b2
-            base34 = meets[i1] & meets[i2] & h34_mask
-            m3 = base34
+            row12 = itab[index_of[b12]]
+            # t[k] = |H1k H2k|, and the H3/H4 candidates bucketed by it
+            t = [0] * S
+            by_t: dict[int, int] = {}
+            m = meets[i1] & meets[i2] & h34_mask
+            while m:
+                low = m & -m
+                k = low.bit_length() - 1
+                m ^= low
+                tk = t[k] = row1[k] * row2[k] // row12[k]
+                by_t[tk] = by_t.get(tk, 0) | low
+            above: dict[int, int] = {}  # v -> candidates with t > v
+
+            def t_above(v):
+                mask = above.get(v)
+                if mask is None:
+                    mask = 0
+                    for tk, mk in by_t.items():
+                        if tk > v:
+                            mask |= mk
+                    above[v] = mask
+                return mask
+
+            # an H3 has a partner only if t3 > P // max(t)
+            m3 = t_above(P // max(by_t)) if by_t else 0
             while m3:
                 low3 = m3 & -m3
                 i3 = low3.bit_length() - 1
                 m3 ^= low3
-                if i3 & 63 == 0:
-                    check_budget()
-                b123 = b12 & bits[i3]
-                d = b123.bit_count()
-                lhs_part = ab * d
-                rhs_part = alpha * row1[i3] * row2[i3]
+                t3 = t[i3]
+                m4 = (t_above(P // t3) & apart[i3]) >> i3 << i3
                 row3 = itab[i3]
-                m4 = (base34 & apart[i3]) >> i3 << i3
                 while m4:
                     low4 = m4 & -m4
                     i4 = low4.bit_length() - 1
                     m4 ^= low4
-                    b4 = bits[i4]
-                    e = (b12 & b4).bit_count()
-                    if f_fact and d * e == alpha * (b123 & b4).bit_count():
-                        continue
-                    if lhs_part * row3[i4] * e < rhs_part * row1[i4] * row2[i4]:
+                    if P * row3[i4] < t3 * t[i4]:
+                        if f_fact and row12[i3] * row12[i4] == alpha * (
+                            b12 & bits[i3] & bits[i4]
+                        ).bit_count():
+                            continue
                         handle_hit(i1, i2, i3, i4)
     found.sort(key=lambda c: c.key)
     return found

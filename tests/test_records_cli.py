@@ -20,6 +20,7 @@ from ingleton.records import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_EXAMPLE = REPO_ROOT / "data" / "psl27_example.jsonl"
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_s5_a4a4.jsonl"
+GOLDEN_A4WR2 = Path(__file__).resolve().parent / "data" / "golden_a4wr2.jsonl"
 
 
 def run_cli(*argv):
@@ -77,14 +78,31 @@ def test_wreath2_record_verifies():
     assert verify_record(rec) == []
 
 
-def test_golden_search_records(s5_group, s5_classes, a4a4_group, a4a4_classes):
-    # records of the default S5 and A4xA4 searches, pinned byte for byte
+def search_records_text(*searches):
+    """The records of complete searches as the CLI writes them, without elapsed_seconds."""
     buf = io.StringIO()
-    for G, classes in ((s5_group, s5_classes), (a4a4_group, a4a4_classes)):
+    for G, classes in searches:
         summary = summary_record(G, classes, True, 0.0)
         del summary["elapsed_seconds"]
         write_records([class_record(c) for c in classes] + [summary], buf)
-    assert buf.getvalue() == GOLDEN_RECORDS.read_text(encoding="utf-8")
+    return buf.getvalue()
+
+
+def test_golden_search_records(s5_group, s5_classes, a4a4_group, a4a4_classes):
+    # records of the default S5 and A4xA4 searches, pinned byte for byte
+    text = search_records_text((s5_group, s5_classes), (a4a4_group, a4a4_classes))
+    assert text == GOLDEN_RECORDS.read_text(encoding="utf-8")
+
+
+def test_golden_search_records_a4wr2():
+    # the default search of A4 wreath 2 (order 288, 7 classes), the group of
+    # the benchmark's candidate-loop workload, pinned byte for byte
+    from ingleton.constructions import construct_named
+    from ingleton.groups import build_group
+    from ingleton.search import search_offenders
+
+    G = build_group(construct_named("wreath2", ("alt", 4)))
+    assert search_records_text((G, search_offenders(G))) == GOLDEN_A4WR2.read_text(encoding="utf-8")
 
 
 def test_cli_search_s3_empty(capsys):

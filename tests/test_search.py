@@ -1,14 +1,19 @@
+import functools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from ingleton.engine import Quadruple
+from ingleton.engine import Quadruple, ingleton_terms
 from ingleton.errors import BadParams, TimeBudgetExceeded
 from ingleton.groups import build_group, closure_ids
+from ingleton.records import read_records, rebuild_quadruple
 from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
+    _orbit_of,
     canonical_class,
     minimal_constraints,
     oracle_options,
@@ -32,6 +37,61 @@ def test_s5_single_class(s5_classes):
     cls = s5_classes[0]
     assert str(cls.report.ratio) == "16/15"
     assert cls.report.generative
+
+
+GOLDEN_CLASSES = Path(__file__).resolve().parent / "data" / "golden_s5_a4a4.jsonl"
+
+
+@functools.cache
+def lattice_and_offenders(order):
+    """The lattice of the group of the golden offender class of that order
+    (S5 120, A4xA4 144), rebuilt from its record, and every member of the
+    class, sorted, so that member 0 is the class representative."""
+    with GOLDEN_CLASSES.open(encoding="utf-8") as f:
+        record = next(r for r in read_records(f) if r.get("group_order") == order)
+    Q = rebuild_quadruple(record)
+    G = Q.group
+    lattice = all_subgroups(G)
+    by_bits = {s.bits: s for s in lattice}
+    members = sorted(_orbit_of(G, Q.bits_tuple()))
+    return lattice, [Quadruple(*(by_bits[b] for b in m)) for m in members]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    order=st.sampled_from((120, 144)),
+    picks=st.tuples(*(st.integers(0, 10**6),) * 4),
+    member=st.none() | st.integers(0, 10**6),
+)
+@example(order=120, picks=(0, 0, 0, 0), member=0)
+@example(order=144, picks=(0, 0, 0, 0), member=0)
+def test_product_size_identity(order, picks, member):
+    # the search decides |H1||H2||H34||H123||H124| < |H12||H13||H14||H23||H24|
+    # as P |H34| < t3 t4 with P = |H1H2| and tk = |H1k H2k|, and visits only
+    # the H4 with t4 > P // t3; a drawn member is a known offender, else the
+    # four subgroups are drawn from the lattice
+    subs, offenders = lattice_and_offenders(order)
+    if member is None:
+        Q = Quadruple(*(subs[p % len(subs)] for p in picks))
+    else:
+        Q = offenders[member % len(offenders)]
+    b1, b2, b3, b4 = Q.bits_tuple()
+
+    def size(*bs):
+        return functools.reduce(int.__and__, bs).bit_count()
+
+    P, rem = divmod(size(b1) * size(b2), size(b1, b2))
+    assert rem == 0
+    t = {}
+    for k, bk in ((3, b3), (4, b4)):
+        t[k], rem = divmod(size(b1, bk) * size(b2, bk), size(b1, b2, bk))
+        assert rem == 0
+    offends = P * size(b3, b4) < t[3] * t[4]
+    terms = ingleton_terms(Q)
+    assert offends == (terms.lhs < terms.rhs)
+    assert not offends or t[4] > P // t[3]
+    if member is not None:
+        assert offends
 
 
 def test_unknown_filter_name_rejected():
@@ -63,8 +123,6 @@ def test_canonical_representative_is_orbit_minimum(s5_classes):
 
 
 def test_class_size_matches_orbit(s5_classes, s5_group):
-    from ingleton.search import _orbit_of
-
     cls = s5_classes[0]
     assert cls.size == len(_orbit_of(s5_group, cls.representative.bits_tuple()))
 
