@@ -143,13 +143,15 @@ def cmd_family(args) -> int:
 def cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
-            records = read_records(fh)
+            lines = fh.readlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # read_records skips blank lines, so the file line of each record is counted here
+    line_numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
     checked = 0
     bad = 0
-    for i, record in enumerate(records, start=1):
+    for n, record in zip(line_numbers, read_records(lines)):
         # a line that is not an object (or not JSON) is checked, so
         # verify_record reports it
         if isinstance(record, dict) and record.get("type") not in ("offender-class", "quadruple"):
@@ -159,7 +161,7 @@ def cmd_verify(args) -> int:
         if mismatches:
             bad += 1
             for m in mismatches:
-                print(f"record {i}: {m}", file=sys.stderr)
+                print(f"line {n}: {m}", file=sys.stderr)
     if checked == 0:
         print("error: no quadruple records in file", file=sys.stderr)
         return EXIT_USAGE

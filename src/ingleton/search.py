@@ -1,12 +1,23 @@
 """Exhaustive, pruned, symmetry-broken enumeration of offender quadruples.
 
-Enumeration order: H1 runs over conjugacy-class representatives of the
-subgroup lattice (simultaneous conjugation is a symmetry of the class
-definition), H2 over subgroups meeting H1 nontrivially, H3 over subgroups
-meeting both, and H4 innermost over indices >= H3's (the H3<->H4 swap is also
-a symmetry).  Every pruning filter implements a proven exclusion criterion,
-so disabling filters changes runtime, never results; full canonicalization
-happens only on hits, which are rare.
+Enumeration order.  An offender class is an orbit under simultaneous
+conjugation and the two role swaps, and every filter below is invariant
+under them, so the loops visit one member of each orbit and may visit more.
+H1 runs over conjugacy-class representatives of the subgroup lattice.  H2
+runs over the subgroups meeting H1 nontrivially whose class comes no earlier
+than H1's (the H1<->H2 swap), and of those over one representative of each
+N_G(H1)-orbit (conjugating by N_G(H1) fixes H1).  H3 runs over the subgroups
+meeting both, and H4 innermost over indices >= H3's (the H3<->H4 swap).
+Every pruning filter implements a proven exclusion criterion, so disabling
+filters changes runtime, never results.
+
+Conjugation permutes the lattice, so it is precomputed as ``conj[g][i]``, the
+index of g Hi g^-1: S ``conjugate_bits`` calls for each group generator, and
+one composed array for every other element, along a BFS tree of G.  The
+stabiliser of H1 in that table is N_G(H1).  A hit's orbit then costs four
+array reads per element; ``seen`` holds every member of each orbit found, as
+the packed index ((i1 S + i2) S + i3) S + i4, and the class representative
+is the least member by bitset tuple.
 
 Each role criterion depends on one subgroup and each pair criterion on two
 subgroups and the order of their meet, so all of them are decided once, up
@@ -32,9 +43,9 @@ bucketed by their t value.  Since |H34| >= 1, an H4 can offend only if
 t4 > P // t3: the mask of the candidates above each distinct threshold is
 built on first use and ANDed into the H4 mask, so most H4 candidates are
 never visited, and an H3 is visited only if t3 > P // max(t).  Per visited H4
-the comparison is two list reads; the factorized-H12 test runs behind it.
-This threshold is the comparison rearranged, not a filter, so oracle mode
-(every filter off) runs the same kernel.
+the comparison is two list reads.  This threshold is the comparison
+rearranged, not a filter, so oracle mode (every filter off) runs the same
+kernel.
 """
 
 from __future__ import annotations
@@ -45,7 +56,7 @@ from dataclasses import dataclass, replace
 
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams, TimeBudgetExceeded
-from .groups import GroupTable, generating_set
+from .groups import GroupTable, bits_to_ids, generating_set
 from .subgroups import (
     DEFAULT_SUBGROUP_CAP,
     Subgroup,
@@ -63,7 +74,6 @@ FILTER_NONTRIVIAL_MEETS = "nontrivial-meets"
 FILTER_NO_CONTAINMENT = "no-containment"
 FILTER_PRODUCT_H1H2 = "product-h1h2"
 FILTER_H3H4_PRIME_POWER = "h3h4-not-prime-power-cyclic"
-FILTER_FACTORIZED_H12 = "factorized-h12"
 
 ALL_FILTERS = (
     FILTER_NONCYCLIC_H1H2,
@@ -71,7 +81,6 @@ ALL_FILTERS = (
     FILTER_NO_CONTAINMENT,
     FILTER_PRODUCT_H1H2,
     FILTER_H3H4_PRIME_POWER,
-    FILTER_FACTORIZED_H12,
 )
 
 # Classification levels a search can require of the classes it keeps, weakest
@@ -128,6 +137,32 @@ def _orbit_of(G: GroupTable, tup: tuple[int, int, int, int]):
     return orbit
 
 
+def _conjugation_table(G: GroupTable, bits: list[int], index_of: dict[int, int]) -> list[array]:
+    """``conj[g][i]``: the index of g Hi g^-1, for every element g of G.
+
+    The lattice ``bits`` is closed under conjugation.  Each generator's row
+    costs one ``conjugate_bits`` call per subgroup; every other element's row
+    is composed along a BFS tree of G, since conjugation by x*g is conjugation
+    by g followed by conjugation by x.
+    """
+    S = len(bits)
+    code = "H" if S <= 0xFFFF else "I"
+    gens = list(dict.fromkeys(G.gen_ids))
+    gen_rows = [array(code, [index_of[conjugate_bits(G, b, g)] for b in bits]) for g in gens]
+    conj: list = [None] * G.n
+    conj[0] = array(code, range(S))
+    mt, n = G.mul_table, G.n
+    order = [0]
+    for x in order:  # grows while it is walked: a BFS of G over its generators
+        row = conj[x]
+        for g, grow in zip(gens, gen_rows):
+            y = mt[x * n + g]
+            if conj[y] is None:
+                conj[y] = array(code, map(row.__getitem__, grow))
+                order.append(y)
+    return conj
+
+
 def canonical_class(Q: Quadruple) -> Quadruple:
     """Lexicographically least member of Q's orbit; idempotent by construction."""
     G = Q.group
@@ -181,7 +216,6 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     f_contain = opts.filter_enabled(FILTER_NO_CONTAINMENT)
     f_product = opts.filter_enabled(FILTER_PRODUCT_H1H2)
     f_ppc = opts.filter_enabled(FILTER_H3H4_PRIME_POWER)
-    f_fact = opts.filter_enabled(FILTER_FACTORIZED_H12)
 
     cyclic = [is_cyclic(s) for s in subs]
     normal = [is_normal(G, s) for s in subs]
@@ -217,18 +251,35 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
 
     classes = subgroup_conjugacy_classes(G, subs)
     h1_reps = [index_of[cls[0].bits] for cls in classes]
+    class_ge = [0] * (len(classes) + 1)  # class_ge[c]: the members of classes c, c+1, ...
+    for c in range(len(classes) - 1, -1, -1):
+        class_ge[c] = class_ge[c + 1]
+        for s in classes[c]:
+            class_ge[c] |= 1 << index_of[s.bits]
+    conj = _conjugation_table(G, bits, index_of)
 
-    seen: set[tuple[int, int, int, int]] = set()
+    seen: set[int] = set()
     found: list[OffenderClass] = []
     level = REQUIRE_LEVELS.index(opts.require)
 
+    SS = S * S
+
+    def member_bits(q):
+        """The bitset tuple of the packed quadruple q."""
+        q12, q34 = divmod(q, SS)
+        return bits[q12 // S], bits[q12 % S], bits[q34 // S], bits[q34 % S]
+
     def handle_hit(i1, i2, i3, i4):
-        raw = (bits[i1], bits[i2], bits[i3], bits[i4])
-        if raw in seen:
+        if ((i1 * S + i2) * S + i3) * S + i4 in seen:
             return
-        orbit = _orbit_of(G, raw)
+        orbit = set()
+        for c in conj:
+            j1, j2, j3, j4 = c[i1], c[i2], c[i3], c[i4]
+            h12, h21 = (j1 * S + j2) * SS, (j2 * S + j1) * SS
+            h34, h43 = j3 * S + j4, j4 * S + j3
+            orbit.update((h12 + h34, h21 + h34, h12 + h43, h21 + h43))
         seen.update(orbit)
-        canon = min(orbit)
+        canon = min(map(member_bits, orbit))
         rep = Quadruple(*(Subgroup(G, b) for b in canon))
         report = evaluate(
             rep,
@@ -250,27 +301,27 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
                 partial=sorted(found, key=lambda c: c.key),
             )
 
-    for i1 in h1_reps:
+    for c1, i1 in enumerate(h1_reps):
         if not h12_mask >> i1 & 1:
             continue
         b1, o1, row1 = bits[i1], orders[i1], itab[i1]
-        m2 = meets[i1] & h12_mask
-        while m2:
-            low2 = m2 & -m2
-            i2 = low2.bit_length() - 1
-            m2 ^= low2
+        stab = [c for c in conj if c[i1] == i1]  # N_G(H1), acting on indices
+        visited = bytearray(S)  # H2 candidates in the N_G(H1)-orbit of a visited one
+        for i2 in bits_to_ids(meets[i1] & h12_mask & class_ge[c1]):
+            if visited[i2]:
+                continue
+            for c in stab:
+                visited[c[i2]] = 1
             check_budget()
             b2, row2 = bits[i2], itab[i2]
-            alpha = row1[i2]
-            P = o1 * orders[i2] // alpha  # |H1H2|
+            P = o1 * orders[i2] // row1[i2]  # |H1H2|
             # the join-order half of product-h1h2: every subgroup above H1 and
             # H2 holds the P elements of H1H2, so H1H2 is a subgroup iff a
             # subgroup of order P contains both
             u = b1 | b2
             if f_product and any(u & b == u for b in of_order.get(P, ())):
                 continue
-            b12 = b1 & b2
-            row12 = itab[index_of[b12]]
+            row12 = itab[index_of[b1 & b2]]
             # t[k] = |H1k H2k|, and the H3/H4 candidates bucketed by it
             t = [0] * S
             by_t: dict[int, int] = {}
@@ -307,10 +358,6 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
                     i4 = low4.bit_length() - 1
                     m4 ^= low4
                     if P * row3[i4] < t3 * t[i4]:
-                        if f_fact and row12[i3] * row12[i4] == alpha * (
-                            b12 & bits[i3] & bits[i4]
-                        ).bit_count():
-                            continue
                         handle_hit(i1, i2, i3, i4)
     found.sort(key=lambda c: c.key)
     return found

@@ -7,11 +7,13 @@ canonical per group.
 
 The lattice is enumerated one conjugacy class at a time (Neubüser's cyclic
 extension).  Conjugation commutes with joins, ``<H^g, C^g> = <H, C>^g``, so
-only one representative per class is joined with the cyclic subgroups; the
-rest of each class comes from permuting the representative's bitset by
-``G.conj_perm``, which costs one step per member instead of a join closure.
-A join grows a union of right cosets along the Schreier graph, about one
-table lookup per element of the result.
+only one representative R per class is joined with cyclic subgroups, and
+only with one cyclic atom per N_G(R)-orbit: for n in N_G(R) the join
+<R, C^n> is <R, C>^n, whose class is already known.  The rest of each class
+comes from permuting the representative's bitset by ``G.conj_perm``, which
+costs one step per member instead of a join closure.  A join grows a union
+of right cosets along the Schreier graph, about one table lookup per element
+of the result.
 """
 
 from __future__ import annotations
@@ -164,6 +166,21 @@ def conjugate_subgroup(G: GroupTable, H: Subgroup, g: int) -> Subgroup:
     return Subgroup(G, conjugate_bits(G, H.bits, g), tuple(perm[x] for x in H.gens))
 
 
+def normaliser_ids(G: GroupTable, bits: int, gens) -> list[int]:
+    """N_G(H) as element ids: the g with g*r*g^-1 in H for each generator r of H.
+
+    ``gens`` must generate H; each test is two multiplication-table reads.
+    """
+    G.require_dense()
+    mt, n, inv = G.mul_table, G.n, G.inv
+    out = []
+    for g in range(n):
+        gn, gi = g * n, inv[g]
+        if all(bits >> mt[mt[gn + r] * n + gi] & 1 for r in gens):
+            out.append(g)
+    return out
+
+
 def _conjugacy_class(G: GroupTable, bits: int, gens=()) -> dict[int, tuple[int, ...]]:
     """The conjugates of a subgroup, each bitset mapped to ``gens`` conjugated alike.
 
@@ -278,10 +295,11 @@ def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> l
 
     Any subgroup is a join of cyclic subgroups of its own elements, so joining
     known subgroups with cyclic atoms until a fixed point reaches all of them.
-    Since ``<H^g, C^g> = <H, C>^g``, only the first subgroup found in each
+    Since ``<H^g, C^g> = <H, C>^g``, only the first subgroup R found in each
     conjugacy class is joined with the atoms, and a new class enters whole:
-    if H = R^g for a representative R, then <H, C> is conjugate to the join
-    <R, C^(g^-1)>, which is computed.  Raises OrderCapExceeded once more than
+    if H = R^g, then <H, C> is conjugate to the join <R, C^(g^-1)>.  For n in
+    N_G(R) the join <R, C^n> is <R, C>^n, so R is joined with the first atom
+    of each N_G(R)-orbit only.  Raises OrderCapExceeded once more than
     ``max_subgroups`` are known (lattice explosion guard) and caches nothing.
     """
     cached = G._cache.get("all_subgroups")
@@ -302,16 +320,26 @@ def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> l
             )
 
     atoms = cyclic_atoms(G)
-    for bits, _, gen in atoms:
+    # atom_of[x]: the index of the atom that element x generates
+    element_orders = G.element_orders()
+    atom_of = [0] * G.n
+    for k, (bits, order, gen) in enumerate(atoms):
+        for x in bits_to_ids(bits):
+            if element_orders[x] == order:
+                atom_of[x] = k
         if bits not in subs:
             add_class(bits, (gen,))
     head = 0
     while head < len(reps):
         h_bits, h_gens = reps[head]
         head += 1
-        for c_bits, _, c_gen in atoms:
-            if c_bits & h_bits == c_bits:
+        norm = normaliser_ids(G, h_bits, h_gens)
+        joined = bytearray(len(atoms))  # atoms in the N_G(R)-orbit of a joined one
+        for k, (c_bits, _, c_gen) in enumerate(atoms):
+            if joined[k] or c_bits & h_bits == c_bits:
                 continue
+            for g in norm:
+                joined[atom_of[G.conjugate(g, c_gen)]] = 1
             j = join_bits(G, h_bits, (c_gen,), base_gens=h_gens)
             if j not in subs:
                 add_class(j, h_gens + (c_gen,))

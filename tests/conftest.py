@@ -11,7 +11,7 @@ from ingleton.constructions import (
     dicyclic_spec,
     metacyclic_spec,
 )
-from ingleton.groups import build_group
+from ingleton.groups import PermutationGenerators, build_group
 from ingleton.search import search_offenders
 
 
@@ -31,6 +31,20 @@ def cyclic_product(*orders):
     for n in orders[1:]:
         spec = construct_named("direct_product", (spec, named("cyclic", n)))
     return spec
+
+
+def relabelled(spec, sigma):
+    """The permutation group of ``spec`` with every generator conjugated by the
+    point permutation ``sigma`` and the generator order reversed: the same
+    group under different element ids and bitsets."""
+
+    def conjugate(img):  # sigma * img * sigma^-1 on points
+        out = [0] * len(img)
+        for i, j in enumerate(img):
+            out[sigma[i]] = sigma[j]
+        return tuple(out)
+
+    return PermutationGenerators(spec.degree, tuple(conjugate(g) for g in reversed(spec.generators)))
 
 
 # Groups of order <= 60 used by the randomized property suites.

@@ -137,6 +137,8 @@ def test_cli_search_usage_errors(capsys):
     assert run_cli("search", "--named", "sym:5", "--perm", "(1,2)") == 2
     assert run_cli("search", "--perm", "(1,2(") == 2
     assert run_cli("search", "--named", "sym:7") == 2  # order cap
+    # factorized-h12 was removed: it only ever saw passing comparisons, where it never fires
+    assert run_cli("search", "--named", "sym:4", "--no-filter", "factorized-h12") == 2
     capsys.readouterr()
 
 
@@ -201,7 +203,7 @@ def test_cli_verify_reports_malformed_record(mutate, tmp_path, capsys):
     bad_file.write_text(json.dumps(mutate(record)) + "\n")
     assert run_cli("verify", str(bad_file)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("record 1: ")
+    assert err.startswith("line 1: ")
     assert "Traceback" not in err
 
 
@@ -236,9 +238,20 @@ def test_cli_verify_continues_past_invalid_json_line(tmp_path, capsys):
     bad_file.write_text(f"{line}\n{line[:40]}\n{line}\n")
     assert run_cli("verify", str(bad_file)) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("record 2: not valid JSON: ")
+    assert captured.err.startswith("line 2: not valid JSON: ")
     assert len(captured.err.splitlines()) == 1
     assert "verified 3 record(s); 1 mismatching" in captured.out
+
+
+def test_cli_verify_reports_file_lines_past_blank_lines(tmp_path, capsys):
+    line = SHIPPED_EXAMPLE.read_text(encoding="utf-8").strip()
+    bad = json.dumps({**json.loads(line), "score": "high"})
+    records_file = tmp_path / "blank.jsonl"
+    records_file.write_text(f"{line}\n\n  \n{bad}\n")
+    assert run_cli("verify", str(records_file)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("line 4: score: ")
+    assert "verified 2 record(s); 1 mismatching" in captured.out
 
 
 def test_cli_verify_missing_file(capsys):

@@ -13,15 +13,17 @@ from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
+    _conjugation_table,
     _orbit_of,
     canonical_class,
     minimal_constraints,
     oracle_options,
     search_offenders,
 )
-from ingleton.subgroups import all_subgroups, conjugate_subgroup
+from ingleton.constructions import expand_named
+from ingleton.subgroups import all_subgroups, conjugate_bits, conjugate_subgroup, subgroup_conjugacy_classes
 
-from conftest import named, product
+from conftest import named, product, relabelled
 
 
 def test_s4_has_no_offenders():
@@ -127,6 +129,36 @@ def test_class_size_matches_orbit(s5_classes, s5_group):
     assert cls.size == len(_orbit_of(s5_group, cls.representative.bits_tuple()))
 
 
+@pytest.mark.parametrize("spec", [named("sym", 4), named("alt", 5), named("sym", 5)], ids=["S4", "A5", "S5"])
+def test_conjugation_table_matches_conjugate_bits(spec):
+    # rows composed along the BFS tree agree with conjugating every bitset directly
+    G = build_group(spec)
+    bits = [s.bits for s in all_subgroups(G)]
+    index_of = {b: i for i, b in enumerate(bits)}
+    conj = _conjugation_table(G, bits, index_of)
+    assert len(conj) == G.n
+    for g in range(G.n):
+        assert list(conj[g]) == [index_of[conjugate_bits(G, b, g)] for b in bits]
+
+
+def class_summary(classes):
+    """Sorted (class size, ratio, four orders): the same under any element numbering."""
+    return sorted((c.size, str(c.report.ratio), [s.order for s in c.representative.subs]) for c in classes)
+
+
+@pytest.mark.parametrize(
+    "name, params, sigma",
+    [("sym", (5,), (2, 4, 0, 3, 1)), ("wreath2", ("alt", 4), (5, 2, 7, 0, 3, 6, 1, 4))],
+    ids=["S5", "A4wr2"],
+)
+def test_classes_independent_of_element_numbering(name, params, sigma):
+    # which H2 stands for its N_G(H1)-orbit depends on the element ids, the classes must not
+    plain = expand_named(name, params)
+    G, H = build_group(plain), build_group(relabelled(plain, sigma))
+    assert {s.bits for s in all_subgroups(H)} != {s.bits for s in all_subgroups(G)}  # the numbering differs
+    assert class_summary(search_offenders(H)) == class_summary(search_offenders(G))
+
+
 def test_minimal_constraints_on_s5(s5_classes):
     # S5 has no proper violator subgroup, so its offender satisfies the
     # minimal-violator generation constraints
@@ -180,6 +212,18 @@ def test_every_emitted_class_is_a_generative_offender(a6_classes):
         assert cls.report.generative and is_generative(cls.representative)
 
 
+def test_a6_classes_with_conjugate_h1_h2(a6_group, a6_classes):
+    # 8 of A6's 32 classes have H1 and H2 conjugate, so H2 must also run over
+    # H1's own class, not only over later ones
+    assert len(a6_classes) == 32
+    assert sum(c.size for c in a6_classes) == 23880
+    conjugate_pairs = sum(
+        any(conjugate_bits(a6_group, b1, g) == b2 for g in range(a6_group.n))
+        for b1, b2, _, _ in (c.key for c in a6_classes)
+    )
+    assert conjugate_pairs == 8
+
+
 def test_search_determinism(s5_group):
     a = search_offenders(s5_group)
     b = search_offenders(s5_group)
@@ -219,13 +263,15 @@ def test_require_irreducible_and_indomitable_levels():
         assert c.report.indomitable
 
 
-def count_generative_offenders(G):
+def count_generative_offenders(G, h1_weights=None):
     """Brute-force count of the ordered quadruples of subgroups of G that
     offend and together generate G.
 
     Independent of the search: no filter, conjugation or symmetry breaking,
     only the membership matrix M of the lattice and its products.  The
     products are at most |G|^5, which fits in int64 for |G| <= 6000.
+    ``h1_weights`` maps lattice indices to weights and restricts H1 to them;
+    by default every subgroup is an H1 of weight 1.
     """
     np = pytest.importorskip("numpy")
     assert G.n <= 6000
@@ -234,8 +280,10 @@ def count_generative_offenders(G):
     inter = M @ M.T  # inter[i, j] = |Hi ^ Hj|
     orders = np.diag(inter)
     full = (1 << G.n) - 1
+    if h1_weights is None:
+        h1_weights = dict.fromkeys(range(len(subs)), 1)
     count = 0
-    for i1 in range(len(subs)):
+    for i1, weight in h1_weights.items():
         for i2 in range(len(subs)):
             m12 = M[i1] * M[i2]
             h12k = M @ m12  # |H1 ^ H2 ^ Hk| for every k
@@ -245,7 +293,7 @@ def count_generative_offenders(G):
             for i3, i4 in zip(*np.nonzero(lhs < rhs)):
                 gens = [g for i in (i1, i2, i3, i4) for g in subs[i].gens]
                 if closure_ids(G, gens) == full:
-                    count += 1
+                    count += weight
     return count
 
 
@@ -257,3 +305,20 @@ def test_orbit_counting_identity_s5(s5_group, s5_classes):
 @pytest.mark.slow
 def test_orbit_counting_identity_a4a4(a4a4_group, a4a4_classes):
     assert count_generative_offenders(a4a4_group) == sum(c.size for c in a4a4_classes)
+
+
+@pytest.mark.slow
+def test_orbit_counting_identity_a4wr2():
+    # A4 wreath 2 has 7 offender classes of sizes 288 and 576, and subgroup
+    # classes of many sizes.  Conjugation preserves the count, so H1 runs
+    # over subgroup class representatives weighted by class size; H2, H3 and
+    # H4 run over the whole lattice, which checks the search's H2 reduction
+    # to N_G(H1)-orbits and its class order independently.
+    G = build_group(named("wreath2", "alt", 4))
+    subs = all_subgroups(G)
+    index_of = {s.bits: i for i, s in enumerate(subs)}
+    weights = {index_of[cls[0].bits]: len(cls) for cls in subgroup_conjugacy_classes(G, subs)}
+    classes = search_offenders(G)
+    assert len(classes) == 7 and {c.size for c in classes} == {288, 576}
+    assert len(set(weights.values())) > 1
+    assert count_generative_offenders(G, weights) == sum(c.size for c in classes)

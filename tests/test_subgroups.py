@@ -4,7 +4,7 @@ import pytest
 
 from ingleton.constructions import dicyclic_spec, expand_named
 from ingleton.errors import OrderCapExceeded, ParentMismatch
-from ingleton.groups import PermutationGenerators, build_group, closure_ids
+from ingleton.groups import build_group, closure_ids
 from ingleton.permutations import parse_cycles
 from ingleton.subgroups import (
     all_subgroups,
@@ -20,12 +20,13 @@ from ingleton.subgroups import (
     is_product_subgroup,
     join,
     normal_subgroups,
+    normaliser_ids,
     product_set_size,
     subgroup_conjugacy_classes,
     trivial_subgroup,
 )
 
-from conftest import cyclic_product, named, product
+from conftest import cyclic_product, named, product, relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +255,20 @@ def normaliser_order(G, H):
     [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7)],
     ids=["S4", "A5", "S5", "PSL2(7)"],
 )
+def test_normaliser_ids_is_the_stabiliser_under_conjugation(spec):
+    G = build_group(spec)
+    for cls in subgroup_conjugacy_classes(G, all_subgroups(G)):
+        for H in cls[:2]:
+            norm = normaliser_ids(G, H.bits, H.gens)
+            assert norm == [g for g in range(G.n) if conjugate_bits(G, H.bits, g) == H.bits]
+            assert len(norm) == normaliser_order(G, H)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7)],
+    ids=["S4", "A5", "S5", "PSL2(7)"],
+)
 def test_lattice_classes_obey_orbit_stabiliser(spec):
     # a class missing a conjugate, or a subgroup counted twice, breaks the count
     G = build_group(spec)
@@ -267,16 +282,7 @@ def test_lattice_classes_obey_orbit_stabiliser(spec):
 
 def test_lattice_independent_of_element_numbering():
     plain = expand_named("sym", (5,))
-    sigma = (2, 4, 0, 3, 1)
-
-    def relabel(img):  # sigma * img * sigma^-1 on points
-        out = [0] * len(img)
-        for i, j in enumerate(img):
-            out[sigma[i]] = sigma[j]
-        return tuple(out)
-
-    spec = PermutationGenerators(plain.degree, tuple(relabel(g) for g in reversed(plain.generators)))
-    G, H = build_group(plain), build_group(spec)
+    G, H = build_group(plain), build_group(relabelled(plain, (2, 4, 0, 3, 1)))
     subs = all_subgroups(H)
     assert len(subs) == 156
     assert {s.bits for s in subs} != {s.bits for s in all_subgroups(G)}  # the numbering differs
