@@ -397,17 +397,13 @@ def verify_family(fq: FamilyQuadruple, strict: bool = True) -> FamilyReport:
         # The actor must normalize the unipotent kernel of h: the closure of
         # the conjugation orbit of the unipotent generator.  For prime q that
         # kernel is just the cyclic group on the generator; for prime powers
-        # it is the full order-q root subgroup.
-        orbit = {unipotent}
-        frontier = [unipotent]
-        while frontier:
-            nxt = []
-            for elem in frontier:
-                y = G.conjugate(actor, elem)
-                if y not in orbit:
-                    orbit.add(y)
-                    nxt.append(y)
-            frontier = nxt
+        # it is the full order-q root subgroup.  Conjugation by the actor is a
+        # permutation, so the orbit is its cycle through the generator.
+        orbit = [unipotent]
+        y = G.conjugate(actor, unipotent)
+        while y != unipotent:
+            orbit.append(y)
+            y = G.conjugate(actor, y)
         kernel = generated_subgroup(G, sorted(orbit))
         return kernel.order == q and kernel.bits & h.bits == kernel.bits
 

@@ -11,13 +11,13 @@ meeting both, and H4 innermost over indices >= H3's (the H3<->H4 swap).
 Every pruning filter implements a proven exclusion criterion, so disabling
 filters changes runtime, never results.
 
-Conjugation permutes the lattice, so it is precomputed as ``conj[g][i]``, the
-index of g Hi g^-1: S ``conjugate_bits`` calls for each group generator, and
-one composed array for every other element, along a BFS tree of G.  The
-stabiliser of H1 in that table is N_G(H1).  A hit's orbit then costs four
-array reads per element; ``seen`` holds every member of each orbit found, as
-the packed index ((i1 S + i2) S + i3) S + i4, and the class representative
-is the least member by bitset tuple.
+Conjugation permutes the lattice, so ``subgroups.conjugation_table`` gives
+``conj[g][i]``, the index of g Hi g^-1, and every class fact comes from it:
+the orbit of i is Hi's class, with its least index as representative, a
+class of one member is a normal subgroup, and H1's stabiliser is N_G(H1).  A
+hit's orbit costs four array reads per element; ``seen`` holds every member
+of each orbit found, as the packed index ((i1 S + i2) S + i3) S + i4, and
+the class representative is the least member by bitset tuple.
 
 Each role criterion depends on one subgroup and each pair criterion on two
 subgroups and the order of their meet, so all of them are decided once, up
@@ -62,10 +62,12 @@ from .subgroups import (
     Subgroup,
     all_subgroups,
     conjugate_bits,
+    conjugation_table,
     is_cyclic,
-    is_normal,
     is_prime_power,
     join_bits,
+    # not called here, but perfbench/workloads.py wraps both by this module's name
+    is_normal,
     subgroup_conjugacy_classes,
 )
 
@@ -137,32 +139,6 @@ def _orbit_of(G: GroupTable, tup: tuple[int, int, int, int]):
     return orbit
 
 
-def _conjugation_table(G: GroupTable, bits: list[int], index_of: dict[int, int]) -> list[array]:
-    """``conj[g][i]``: the index of g Hi g^-1, for every element g of G.
-
-    The lattice ``bits`` is closed under conjugation.  Each generator's row
-    costs one ``conjugate_bits`` call per subgroup; every other element's row
-    is composed along a BFS tree of G, since conjugation by x*g is conjugation
-    by g followed by conjugation by x.
-    """
-    S = len(bits)
-    code = "H" if S <= 0xFFFF else "I"
-    gens = list(dict.fromkeys(G.gen_ids))
-    gen_rows = [array(code, [index_of[conjugate_bits(G, b, g)] for b in bits]) for g in gens]
-    conj: list = [None] * G.n
-    conj[0] = array(code, range(S))
-    mt, n = G.mul_table, G.n
-    order = [0]
-    for x in order:  # grows while it is walked: a BFS of G over its generators
-        row = conj[x]
-        for g, grow in zip(gens, gen_rows):
-            y = mt[x * n + g]
-            if conj[y] is None:
-                conj[y] = array(code, map(row.__getitem__, grow))
-                order.append(y)
-    return conj
-
-
 def canonical_class(Q: Quadruple) -> Quadruple:
     """Lexicographically least member of Q's orbit; idempotent by construction."""
     G = Q.group
@@ -205,11 +181,33 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     started = time.monotonic()
     deadline = None if opts.time_budget is None else started + opts.time_budget
 
+    found: list[OffenderClass] = []
+
+    def check_budget():
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(
+                f"search budget of {opts.time_budget}s exhausted on group of order {G.n}",
+                partial=sorted(found, key=lambda c: c.key),
+            )
+
     subs = all_subgroups(G, opts.max_subgroups)
+    check_budget()
     S = len(subs)
     bits = [s.bits for s in subs]
     orders = [s.order for s in subs]
     index_of = {s.bits: i for i, s in enumerate(subs)}
+
+    # the orbit of i in the table is Hi's class: rep[i], its least index, is
+    # its least (order, bits) member; class_size[i] is the class size at a
+    # representative and 0 elsewhere, so class_size[i] == 1 iff Hi is normal
+    conj = conjugation_table(G, bits, index_of)
+    rep, class_size = [-1] * S, [0] * S
+    for i in range(S):
+        if rep[i] < 0:
+            orbit = {c[i] for c in conj}
+            class_size[i] = len(orbit)
+            for j in orbit:
+                rep[j] = i
 
     f_noncyc = opts.filter_enabled(FILTER_NONCYCLIC_H1H2)
     f_meets = opts.filter_enabled(FILTER_NONTRIVIAL_MEETS)
@@ -218,7 +216,6 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     f_ppc = opts.filter_enabled(FILTER_H3H4_PRIME_POWER)
 
     cyclic = [is_cyclic(s) for s in subs]
-    normal = [is_normal(G, s) for s in subs]
 
     # role and partner masks (see the module docstring), and the pairwise
     # intersection orders the Ingleton comparison reads
@@ -228,7 +225,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     meets = [0] * S  # meets[i]: members of apart[i] meeting Hi nontrivially
     for i in range(S):
         bi, oi = bits[i], orders[i]
-        if not (f_noncyc and cyclic[i]) and not (f_product and normal[i]):
+        if not (f_noncyc and cyclic[i]) and not (f_product and class_size[i] == 1):
             h12_mask |= 1 << i
         if not (f_ppc and cyclic[i] and is_prime_power(oi)):
             h34_mask |= 1 << i
@@ -248,18 +245,9 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     of_order: dict[int, list[int]] = {}
     for b, o in zip(bits, orders):
         of_order.setdefault(o, []).append(b)
-
-    classes = subgroup_conjugacy_classes(G, subs)
-    h1_reps = [index_of[cls[0].bits] for cls in classes]
-    class_ge = [0] * (len(classes) + 1)  # class_ge[c]: the members of classes c, c+1, ...
-    for c in range(len(classes) - 1, -1, -1):
-        class_ge[c] = class_ge[c + 1]
-        for s in classes[c]:
-            class_ge[c] |= 1 << index_of[s.bits]
-    conj = _conjugation_table(G, bits, index_of)
+    check_budget()
 
     seen: set[int] = set()
-    found: list[OffenderClass] = []
     level = REQUIRE_LEVELS.index(opts.require)
 
     SS = S * S
@@ -280,9 +268,9 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             orbit.update((h12 + h34, h21 + h34, h12 + h43, h21 + h43))
         seen.update(orbit)
         canon = min(map(member_bits, orbit))
-        rep = Quadruple(*(Subgroup(G, b) for b in canon))
+        quad = Quadruple(*(Subgroup(G, b) for b in canon))
         report = evaluate(
-            rep,
+            quad,
             with_generative=True,
             with_irreducible=level >= 1,
             with_indomitable=level >= 2,
@@ -290,25 +278,18 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         # each level implies the ones before it, so its own flag decides
         keep = getattr(report, opts.require)
         if keep and opts.minimal_mode:
-            keep = minimal_constraints(rep)
+            keep = minimal_constraints(quad)
         if keep:
-            found.append(OffenderClass(rep, len(orbit), report))
+            found.append(OffenderClass(quad, len(orbit), report))
 
-    def check_budget():
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeBudgetExceeded(
-                f"search budget of {opts.time_budget}s exhausted on group of order {G.n}",
-                partial=sorted(found, key=lambda c: c.key),
-            )
-
-    for c1, i1 in enumerate(h1_reps):
-        if not h12_mask >> i1 & 1:
+    for i1 in range(S):
+        if rep[i1] != i1 or not h12_mask >> i1 & 1:
             continue
         b1, o1, row1 = bits[i1], orders[i1], itab[i1]
         stab = [c for c in conj if c[i1] == i1]  # N_G(H1), acting on indices
         visited = bytearray(S)  # H2 candidates in the N_G(H1)-orbit of a visited one
-        for i2 in bits_to_ids(meets[i1] & h12_mask & class_ge[c1]):
-            if visited[i2]:
+        for i2 in bits_to_ids(meets[i1] & h12_mask):
+            if rep[i2] < i1 or visited[i2]:  # H2's class comes before H1's
                 continue
             for c in stab:
                 visited[c[i2]] = 1

@@ -13,10 +13,15 @@ only with one cyclic atom per N_G(R)-orbit: for n in N_G(R) the join
 comes from permuting the representative's bitset by ``G.conj_perm``, which
 costs one step per member instead of a join closure.  A join grows a union
 of right cosets along the Schreier graph, about one table lookup per element
-of the result.
+of the result.  ``conjugation_table`` then permutes lattice indices by
+conjugation: its orbits are the subgroup classes and its fixed points the
+normal subgroups, which ``subgroup_conjugacy_classes`` and ``is_normal`` find
+independently from bitsets.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from .errors import OrderCapExceeded, ParentMismatch
 from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits
@@ -181,6 +186,32 @@ def normaliser_ids(G: GroupTable, bits: int, gens) -> list[int]:
     return out
 
 
+def conjugation_table(G: GroupTable, bits: list[int], index_of: dict[int, int]) -> list[array]:
+    """``conj[g][i]``: the index of g Hi g^-1, for every element g of G.
+
+    The lattice ``bits`` is closed under conjugation.  Each generator's row
+    costs one ``conjugate_bits`` call per subgroup; every other element's row
+    is composed along a BFS tree of G, since conjugation by x*g is conjugation
+    by g followed by conjugation by x.
+    """
+    S = len(bits)
+    code = "H" if S <= 0xFFFF else "I"
+    gens = list(dict.fromkeys(G.gen_ids))
+    gen_rows = [array(code, [index_of[conjugate_bits(G, b, g)] for b in bits]) for g in gens]
+    conj: list = [None] * G.n
+    conj[0] = array(code, range(S))
+    mt, n = G.mul_table, G.n
+    order = [0]
+    for x in order:  # grows while it is walked: a BFS of G over its generators
+        row = conj[x]
+        for g, grow in zip(gens, gen_rows):
+            y = mt[x * n + g]
+            if conj[y] is None:
+                conj[y] = array(code, map(row.__getitem__, grow))
+                order.append(y)
+    return conj
+
+
 def _conjugacy_class(G: GroupTable, bits: int, gens=()) -> dict[int, tuple[int, ...]]:
     """The conjugates of a subgroup, each bitset mapped to ``gens`` conjugated alike.
 
@@ -188,15 +219,14 @@ def _conjugacy_class(G: GroupTable, bits: int, gens=()) -> dict[int, tuple[int, 
     """
     found = {bits: tuple(gens)}
     frontier = [bits]
-    conjugators = list(dict.fromkeys(G.gen_ids))
+    conjugators = [(g, G.conj_perm(g)) for g in dict.fromkeys(G.gen_ids)]
     while frontier:
         nxt = []
         for b in frontier:
-            for g in conjugators:
+            for g, perm in conjugators:
                 c = conjugate_bits(G, b, g)
                 if c not in found:
-                    perm = G.conj_perm(g)
-                    found[c] = tuple(perm[x] for x in found[b])
+                    found[c] = tuple(map(perm.__getitem__, found[b]))
                     nxt.append(c)
         frontier = nxt
     return found
@@ -213,26 +243,17 @@ def core(G: GroupTable, H: Subgroup) -> Subgroup:
 
 
 def element_conjugacy_classes(G: GroupTable) -> list[list[int]]:
+    """Element conjugacy classes as sorted ids: the classes of singleton bitsets."""
     classes = G._cache.get("element_classes")
     if classes is None:
-        assigned = [False] * G.n
+        assigned = bytearray(G.n)
         classes = []
-        gens = list(dict.fromkeys(G.gen_ids))
         for a in range(G.n):
-            if assigned[a]:
-                continue
-            orbit = [a]
-            assigned[a] = True
-            head = 0
-            while head < len(orbit):
-                x = orbit[head]
-                head += 1
-                for g in gens:
-                    y = G.conjugate(g, x)
-                    if not assigned[y]:
-                        assigned[y] = True
-                        orbit.append(y)
-            classes.append(sorted(orbit))
+            if not assigned[a]:
+                cls = sorted(b.bit_length() - 1 for b in _conjugacy_class(G, 1 << a))
+                for x in cls:
+                    assigned[x] = 1
+                classes.append(cls)
         G._cache["element_classes"] = classes
     return classes
 

@@ -13,7 +13,6 @@ from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
-    _conjugation_table,
     _orbit_of,
     canonical_class,
     minimal_constraints,
@@ -21,7 +20,14 @@ from ingleton.search import (
     search_offenders,
 )
 from ingleton.constructions import expand_named
-from ingleton.subgroups import all_subgroups, conjugate_bits, conjugate_subgroup, subgroup_conjugacy_classes
+from ingleton.subgroups import (
+    all_subgroups,
+    conjugate_bits,
+    conjugate_subgroup,
+    conjugation_table,
+    normal_subgroups,
+    subgroup_conjugacy_classes,
+)
 
 from conftest import named, product, relabelled
 
@@ -135,10 +141,27 @@ def test_conjugation_table_matches_conjugate_bits(spec):
     G = build_group(spec)
     bits = [s.bits for s in all_subgroups(G)]
     index_of = {b: i for i, b in enumerate(bits)}
-    conj = _conjugation_table(G, bits, index_of)
+    conj = conjugation_table(G, bits, index_of)
     assert len(conj) == G.n
     for g in range(G.n):
         assert list(conj[g]) == [index_of[conjugate_bits(G, b, g)] for b in bits]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7), named("wreath2", "alt", 4)],
+    ids=["S4", "A5", "S5", "PSL2(7)", "A4wr2"],
+)
+def test_conjugation_table_orbits_are_the_subgroup_classes(spec):
+    # the search reads classes and normality off the table; check both against
+    # bitset conjugation and against normal closures that never see the lattice
+    G = build_group(spec)
+    subs = all_subgroups(G)
+    bits = [s.bits for s in subs]
+    conj = conjugation_table(G, bits, {b: i for i, b in enumerate(bits)})
+    orbits = {frozenset(bits[c[i]] for c in conj) for i in range(len(bits))}
+    assert orbits == {frozenset(s.bits for s in cls) for cls in subgroup_conjugacy_classes(G, subs)}
+    assert sorted(next(iter(o)) for o in orbits if len(o) == 1) == sorted(N.bits for N in normal_subgroups(G))
 
 
 def class_summary(classes):
@@ -237,6 +260,20 @@ def test_time_budget_exceeded_carries_partial():
     with pytest.raises(TimeBudgetExceeded) as info:
         search_offenders(G, SearchOptions(time_budget=0.0))
     assert isinstance(info.value.partial, list)
+
+
+def test_time_budget_checked_before_the_conjugation_table(monkeypatch, s5_group):
+    # with the lattice cached, an exhausted budget stops the search at the
+    # check after the lattice, before any later phase runs
+    all_subgroups(s5_group)
+
+    def unreachable(*args):
+        raise AssertionError("conjugation_table ran after the budget was exhausted")
+
+    monkeypatch.setattr("ingleton.search.conjugation_table", unreachable)
+    with pytest.raises(TimeBudgetExceeded) as info:
+        search_offenders(s5_group, SearchOptions(time_budget=0.0))
+    assert info.value.partial == []
 
 
 def test_require_levels_keep_the_s5_class(s5_group):
