@@ -371,20 +371,16 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
     labels = [label_c(e) for e in elems]
 
     if n <= DENSE_LIMIT:
-        # Right-multiplication columns R_k let the whole table be filled by
-        # propagation: a*e_i = (a*e_p)*g_k, so no further concrete products.
-        rcols = [[ids[mul_c(e, g)] for e in elems] for g in gens]
+        # Left-multiplication columns L_k let the table be filled a row at a
+        # time with no further concrete products: e_i = e_p*g_k, so
+        # e_i*e_j = e_p*(g_k*e_j) and row i is row p read through L_k.  Each
+        # row is written in place, so the n*n list is the only table built.
+        lcols = [[ids[mul_c(g, e)] for e in elems] for g in gens]
         mul_table = [0] * (n * n)
-        for a in range(n):
-            mul_table[a * n] = a
+        mul_table[:n] = range(n)
         for i in range(1, n):
             p, k = parent[i]
-            rk = rcols[k]
-            pos = i
-            off = p
-            mt = mul_table
-            for row in range(0, n * n, n):
-                mt[row + pos] = rk[mt[row + off]]
+            mul_table[i * n : i * n + n] = map(mul_table[p * n : p * n + n].__getitem__, lcols[k])
         inv = [0] * n
         for a in range(n):
             inv[a] = mul_table[a * n : a * n + n].index(0)

@@ -4,6 +4,11 @@ A record carries everything needed to rebuild and recheck a quadruple with no
 reference to the producing run's internal ids: the group spec, each subgroup
 as generator words plus its order, the eleven term orders, exact lhs/rhs as
 decimal strings, the reduced ratio, the score, and classification flags.
+
+``verify_record`` rebuilds the group and the subgroups from the record alone
+and recomputes every field.  The class size is recomputed by orbit–stabiliser
+(``class_size``), from the rebuilt subgroups' generators, so it shares no code
+with the search's conjugation table or canonical form.
 """
 
 from __future__ import annotations
@@ -15,10 +20,12 @@ from fractions import Fraction
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams
 from .groups import GroupTable, build_group, spec_from_json, spec_to_json
-from .search import OffenderClass, _orbit_of
+from .search import OffenderClass
 from .subgroups import generated_subgroup
 
 ROLE_NAMES = ("H1", "H2", "H3", "H4")
+# The role permutations of the class symmetry: identity, H1<->H2, H3<->H4, both.
+ROLE_SWAPS = ((0, 1, 2, 3), (1, 0, 2, 3), (0, 1, 3, 2), (1, 0, 3, 2))
 
 
 def _subgroup_entry(role: str, sub) -> dict:
@@ -66,6 +73,31 @@ def summary_record(G: GroupTable, classes, complete: bool, elapsed: float) -> di
         "complete": complete,
         "elapsed_seconds": round(elapsed, 3),
     }
+
+
+def class_size(Q: Quadruple) -> int:
+    """The size of Q's class under conjugation and the role swaps, by orbit–stabiliser.
+
+    The class is an orbit of G x ROLE_SWAPS, so its size is 4|G| over the
+    number of pairs (g, s) with g Hk g^-1 = H_s(k) for every role k.  Only
+    swaps that keep the four orders are tried, and then g Hk g^-1 = H_s(k)
+    holds iff g conjugates each generator of Hk into H_s(k); each generator
+    test filters the g that passed the previous ones.
+    """
+    G, subs = Q.group, Q.subs
+    tests = [
+        [(r, subs[s].bits) for k, s in enumerate(swap) for r in subs[k].gens]
+        for swap in ROLE_SWAPS
+        if all(subs[k].order == subs[s].order for k, s in enumerate(swap))
+    ]
+    conjugate = G.conjugate  # table reads when dense, concrete products when sparse
+    stabiliser = 0
+    for test in tests:
+        fixers = range(G.n)
+        for r, bits in test:
+            fixers = [g for g in fixers if bits >> conjugate(g, r) & 1]
+        stabiliser += len(fixers)
+    return 4 * G.n // stabiliser
 
 
 def rebuild_quadruple(record: dict, cap: int | None = None) -> Quadruple:
@@ -154,9 +186,9 @@ def verify_record(record: dict, cap: int | None = None) -> list[str]:
             mismatches.append(f"flag {name}: recorded {value}, recomputed {recomputed_flags.get(name)}")
     size = record.get("class_size")
     if size is not None:
-        orbit = len(_orbit_of(G, Q.bits_tuple()))
-        if orbit != size:
-            mismatches.append(f"class_size: recorded {size}, recomputed {orbit}")
+        recomputed = class_size(Q)
+        if recomputed != size:
+            mismatches.append(f"class_size: recorded {size}, recomputed {recomputed}")
     return mismatches
 
 

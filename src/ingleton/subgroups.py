@@ -269,7 +269,13 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
         seeds = []
         seen = {1}
         for cls in element_conjugacy_classes(G):
-            b = closure_ids(G, cls)
+            # grow the closure by cosets, adding a member as a generator only
+            # when it is not yet inside: most of a class is reached for free
+            b, gens = 1, []
+            for x in cls:
+                if not b >> x & 1:
+                    b = join_bits(G, b, (x,), base_gens=gens)
+                    gens.append(x)
             if b not in seen:
                 seen.add(b)
                 seeds.append(b)

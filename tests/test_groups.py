@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ingleton.constructions import supersoluble_family
 from ingleton.errors import (
     BadParams,
     InvalidGenerator,
@@ -94,6 +95,34 @@ def test_build_is_deterministic():
     assert a.mul_table == b.mul_table
     assert a.labels == b.labels
     assert a.words == b.words
+
+
+def _s4_x_c3_mod_v4():
+    G = build_group(product(named("sym", 4), named("cyclic", 3)))
+    return quotient_group(G, next(N for N in normal_subgroups(G) if N.order == 4))[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_group(named("sym", 4)),
+        lambda: supersoluble_family(4).group,
+        lambda: build_group(product(named("alt", 4), named("dihedral", 4))),
+        _s4_x_c3_mod_v4,
+        lambda: build_group(named("wreath2", "alt", 4)),
+    ],
+    ids=["S4", "family-q4", "A4xD8", "S4xC3/V4", "A4wr2"],
+)
+def test_dense_table_matches_concrete_products(make):
+    # the table is filled by composing rows; every entry must be the id of
+    # the concrete product, and inv must be a two-sided inverse
+    G = make()
+    n, mt, mul_c, elems, ids = G.n, G.mul_table, G._mul_c, G._elems, G._ids
+    assert mt is not None and len(mt) == n * n
+    for a in range(n):
+        ea = elems[a]
+        assert mt[a * n : a * n + n] == [ids[mul_c(ea, eb)] for eb in elems]
+        assert mt[a * n + G.inv[a]] == 0 == mt[G.inv[a] * n + a]
 
 
 def test_invalid_permutation_generator():

@@ -105,6 +105,25 @@ def test_golden_search_records_a4wr2():
     assert search_records_text((G, search_offenders(G))) == GOLDEN_A4WR2.read_text(encoding="utf-8")
 
 
+def test_sparse_groups_verify_like_dense(monkeypatch):
+    # past groups.DENSE_LIMIT a group multiplies concrete elements; verify,
+    # the class size included, must read the same either way
+    from ingleton import groups
+    from ingleton.records import rebuild_quadruple
+
+    records = []
+    for path in (SHIPPED_EXAMPLE, GOLDEN_RECORDS):
+        with path.open(encoding="utf-8") as f:
+            records += [r for r in read_records(f) if r.get("type") == "offender-class"]
+    mutants = [{**r, "class_size": r["class_size"] + 1} for r in records]
+    dense = [verify_record(r) for r in records + mutants]
+    monkeypatch.setattr(groups, "DENSE_LIMIT", 10)
+    assert rebuild_quadruple(records[0]).group.mul_table is None
+    assert [verify_record(r) for r in records + mutants] == dense
+    assert dense[: len(records)] == [[]] * len(records)
+    assert all(m and m[0].startswith("class_size:") for m in dense[len(records) :])
+
+
 def test_cli_search_s3_empty(capsys):
     assert run_cli("search", "--perm", "(1,2),(1,2,3)") == 0
     out = capsys.readouterr().out.strip().splitlines()

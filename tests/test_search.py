@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from ingleton.engine import Quadruple, ingleton_terms
 from ingleton.errors import BadParams, TimeBudgetExceeded
 from ingleton.groups import build_group, closure_ids
-from ingleton.records import read_records, rebuild_quadruple
+from ingleton.records import class_size, read_records, rebuild_quadruple
 from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
@@ -47,7 +47,8 @@ def test_s5_single_class(s5_classes):
     assert cls.report.generative
 
 
-GOLDEN_CLASSES = Path(__file__).resolve().parent / "data" / "golden_s5_a4a4.jsonl"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+GOLDEN_CLASSES = REPO_ROOT / "tests" / "data" / "golden_s5_a4a4.jsonl"
 
 
 @functools.cache
@@ -133,6 +134,48 @@ def test_canonical_representative_is_orbit_minimum(s5_classes):
 def test_class_size_matches_orbit(s5_classes, s5_group):
     cls = s5_classes[0]
     assert cls.size == len(_orbit_of(s5_group, cls.representative.bits_tuple()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    order=st.sampled_from((120, 144)),
+    picks=st.tuples(*(st.integers(0, 10**6),) * 4),
+    conjugator=st.none() | st.integers(0, 10**6),
+    member=st.none() | st.integers(0, 10**6),
+)
+@example(order=120, picks=(40, 40, 90, 120), conjugator=None, member=None)  # H1 = H2
+@example(order=144, picks=(60, 150, 100, 100), conjugator=None, member=None)  # H3 = H4
+@example(order=120, picks=(40, 0, 90, 120), conjugator=7, member=None)  # H2 = H1^g
+@example(order=144, picks=(100, 0, 60, 60), conjugator=11, member=None)  # both
+@example(order=144, picks=(0, 0, 0, 0), conjugator=None, member=0)
+def test_class_size_by_orbit_stabiliser_matches_the_orbit(order, picks, conjugator, member):
+    # records.class_size counts the (g, swap) pairs fixing the quadruple;
+    # _orbit_of lists the orbit itself
+    subs, offenders = lattice_and_offenders(order)
+    if member is None:
+        h1, h2, h3, h4 = (subs[p % len(subs)] for p in picks)
+        if conjugator is not None:
+            h2 = conjugate_subgroup(h1.parent, h1, conjugator % order)
+        Q = Quadruple(h1, h2, h3, h4)
+    else:
+        Q = offenders[member % len(offenders)]
+    assert class_size(Q) == len(_orbit_of(Q.group, Q.bits_tuple()))
+
+
+RECORD_FILES = sorted(
+    [*(REPO_ROOT / "tests" / "data").glob("*.jsonl"), *(REPO_ROOT / "perfbench" / "corpus").glob("*.jsonl")]
+)
+
+
+@pytest.mark.parametrize("path", RECORD_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_class_size_of_every_corpus_record(path):
+    # the class sizes the search wrote, recomputed from the rebuilt quadruples;
+    # alt6.jsonl has classes with H1 and H2 conjugate, so the swaps count there
+    with path.open(encoding="utf-8") as f:
+        records = [r for r in read_records(f) if r.get("type") == "offender-class"]
+    assert records
+    for record in records:
+        assert class_size(rebuild_quadruple(record)) == record["class_size"]
 
 
 @pytest.mark.parametrize("spec", [named("sym", 4), named("alt", 5), named("sym", 5)], ids=["S4", "A5", "S5"])

@@ -185,8 +185,15 @@ def test_normal_subgroups_examples():
 
 @pytest.mark.parametrize(
     "spec",
-    [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7)],
-    ids=["S4", "A5", "S5", "PSL2(7)"],
+    [
+        named("sym", 4),
+        named("alt", 5),
+        named("sym", 5),
+        named("psl2", 7),
+        product(named("alt", 4), named("alt", 4)),
+        named("wreath2", "alt", 4),
+    ],
+    ids=["S4", "A5", "S5", "PSL2(7)", "A4xA4", "A4wr2"],
 )
 def test_normal_subgroups_are_the_normal_members_of_the_lattice(spec):
     # normal_subgroups never enumerates the lattice, so the two sides are independent
