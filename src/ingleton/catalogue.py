@@ -39,7 +39,6 @@ class CatalogueEntry:
     expected_scores: tuple[float, ...] = ()
     expected_classes: int | None = None
     assert_classes: bool = False
-    budget: float = DEFAULT_TIME_BUDGET
 
 
 def _named(name, *params):
@@ -254,7 +253,7 @@ def run_entry(entry: CatalogueEntry, budget: float | None = None) -> EntryResult
             observed["order"] = G.n
             if G.n != entry.expected_order:
                 failures.append(f"order: expected {entry.expected_order}, got {G.n}")
-            opts = SearchOptions(time_budget=budget if budget is not None else entry.budget)
+            opts = SearchOptions(time_budget=budget if budget is not None else DEFAULT_TIME_BUDGET)
             classes = search_offenders(G, opts)
             indomitable = []
             for c in classes:

@@ -16,11 +16,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import ParentMismatch, PreconditionFailed
-from .groups import GroupTable, bits_to_ids, closure_ids, quotient_by_bits
+from .groups import GroupTable, bits_to_ids, closure_ids
+from .groups import quotient_by_bits  # not called here; perfbench/workloads.py wraps this name
 from .subgroups import (
     Subgroup,
-    core,
-    image_subgroup,
     is_cyclic,
     is_cyclic_prime_power,
     is_normal,
@@ -179,15 +178,20 @@ def evaluate(
     if with_generative or with_irreducible or with_indomitable:
         report.generative = is_generative(Q)
     if with_irreducible or with_indomitable:
-        # no role contains a nontrivial normal subgroup of G
-        report.irreducible = report.generative and all(core(G, h).order == 1 for h in Q.subs)
-    if with_indomitable:
-        # no quotient by a proper nontrivial normal subgroup keeps an offender image
-        projections = (
-            _quotient_cached(G, N.bits)[1] for N in normal_subgroups(G) if 1 < N.order < G.n
+        normals = [N for N in normal_subgroups(G) if N.order > 1]
+        # the core of a role is the largest normal subgroup of G inside it
+        report.irreducible = report.generative and not any(
+            h.bits & N.bits == N.bits for N in normals for h in Q.subs
         )
+    if with_indomitable:
+        # The image of Hi in G/N is NHi/N, and subgroups containing N meet as
+        # their images do (correspondence theorem), so every order on both
+        # sides is |N| times its image's: the image offends in G/N iff
+        # (NH1, ..., NH4) offends in G.
         report.indomitable = report.irreducible and not any(
-            is_offender(Quadruple(*(image_subgroup(proj, h) for h in Q.subs))) for proj in projections
+            is_offender(Quadruple(*(Subgroup(G, _normal_product(N, h)) for h in Q.subs)))
+            for N in normals
+            if N.order < G.n
         )
     return report
 
@@ -206,15 +210,6 @@ def is_generative(Q: Quadruple) -> bool:
 def is_irreducible(Q: Quadruple) -> bool:
     """Generative, with no role containing a nontrivial normal subgroup of G."""
     return evaluate(Q, with_irreducible=True).irreducible
-
-
-def _quotient_cached(G: GroupTable, kernel_bits: int):
-    cache = G._cache.setdefault("quotients", {})
-    entry = cache.get(kernel_bits)
-    if entry is None:
-        entry = quotient_by_bits(G, kernel_bits)
-        cache[kernel_bits] = entry
-    return entry
 
 
 def is_indomitable(Q: Quadruple) -> bool:
@@ -299,12 +294,14 @@ def saturate_normal(Q: Quadruple, N: Subgroup) -> Quadruple:
         raise PreconditionFailed("the normal subgroup must lie inside one of the four roles")
     if not is_offender(Q):
         raise PreconditionFailed("saturation is only offender-preserving on offenders")
-    new_subs = []
-    for h in Q.subs:
-        # N normal makes N * H the join already
-        bits = join_bits(G, N.bits, h.gens, base_gens=())
-        new_subs.append(Subgroup(G, bits, tuple(dict.fromkeys(N.gens + h.gens))))
-    return Quadruple(*new_subs)
+    return Quadruple(
+        *(Subgroup(G, _normal_product(N, h), tuple(dict.fromkeys(N.gens + h.gens))) for h in Q.subs)
+    )
+
+
+def _normal_product(N: Subgroup, H: Subgroup) -> int:
+    """Membership of N*H for N normal in G, which is already the join <N, H>."""
+    return join_bits(N.parent, N.bits, H.gens, base_gens=())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 A group is closed over its generators by breadth-first search with a fixed
 generator order, so element ids are stable across runs and platforms: the
 identity is always element 0 and the rest follow in discovery order.  Groups
-small enough (DENSE_LIMIT) carry a flat n*n multiplication table; larger
+within the default order cap carry a flat n*n multiplication table; larger
 builds (raised order cap) fall back to multiplying concrete elements on
 demand, which is all the matrix-family verification needs.
 
@@ -28,8 +28,7 @@ from .errors import (
 )
 from .fields import MAT3_IDENTITY, Mat3, field_create, mat_label
 
-DEFAULT_ORDER_CAP = 2048
-DENSE_LIMIT = 2100  # largest order for which the full n*n table is stored
+DEFAULT_ORDER_CAP = 2048  # also the largest order for which the n*n table is stored
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +207,6 @@ class GroupTable:
         self._ids = ids
         self._cache: dict = {}
 
-    @property
-    def dense(self) -> bool:
-        return self.mul_table is not None
-
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
             return self.mul_table[a * self.n + b]
@@ -227,8 +222,8 @@ class GroupTable:
     def require_dense(self):
         if self.mul_table is None:
             raise OrderCapExceeded(
-                f"group of order {self.n} exceeds the dense-table limit {DENSE_LIMIT}; "
-                "this operation needs the full multiplication table"
+                f"group of order {self.n} has no multiplication table (stored up to order "
+                f"{DEFAULT_ORDER_CAP}); this operation needs it"
             )
 
     def word_str(self, elem: int) -> str:
@@ -370,7 +365,7 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
     gen_ids = [ids[g] for g in gens]
     labels = [label_c(e) for e in elems]
 
-    if n <= DENSE_LIMIT:
+    if n <= DEFAULT_ORDER_CAP:
         # Left-multiplication columns L_k let the table be filled a row at a
         # time with no further concrete products: e_i = e_p*g_k, so
         # e_i*e_j = e_p*(g_k*e_j) and row i is row p read through L_k.  Each

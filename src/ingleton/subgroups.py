@@ -110,12 +110,13 @@ def join_bits(G: GroupTable, base_bits: int, gens, base_gens=None) -> int:
     lookup per edge, and each coset is filled exactly once.  The edge labels
     must generate the join together with H, so H's own generators are added
     unless supplied (pass ``base_gens=()`` when H is normal in the join,
-    where H * <gens> is already the whole join).
+    where H * <gens> is already the whole join).  A group without a table
+    closes generators instead, and then needs H's generators either way.
     """
+    if G.mul_table is None:
+        return closure_ids(G, [*(base_gens or generating_set(G, base_bits)), *gens])
     if base_gens is None:
         base_gens = generating_set(G, base_bits)
-    if G.mul_table is None:
-        return closure_ids(G, list(base_gens) + list(gens))
     mt, n = G.mul_table, G.n
     members = bits_to_ids(base_bits)
     edge_gens = [g for g in dict.fromkeys(tuple(base_gens) + tuple(gens)) if g]

@@ -1,6 +1,9 @@
+import functools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ingleton.engine import (
     IngletonTerms,
@@ -21,12 +24,15 @@ from ingleton.engine import (
 )
 from ingleton.errors import ParentMismatch, PreconditionFailed
 from ingleton.groups import bits_to_ids, build_group, closure_ids, quotient_group
+from ingleton.records import read_records
 from ingleton.subgroups import (
     Subgroup,
     all_subgroups,
+    core,
     generated_subgroup,
     image_subgroup,
     is_cyclic,
+    is_normal,
     normal_subgroups,
     trivial_subgroup,
 )
@@ -116,6 +122,68 @@ def test_indomitable_family():
     assert is_indomitable(supersoluble_family(5).quadruple)
 
 
+# The irreducible offender classes of S3xS5, flagged up to indomitability:
+# six indomitable, five whose image in some quotient still offends.
+S3S5_IRREDUCIBLE = Path(__file__).resolve().parent / "data" / "golden_s3s5_irreducible.jsonl"
+with S3S5_IRREDUCIBLE.open(encoding="utf-8") as _f:
+    S3S5_CLASSES = [r for r in read_records(_f) if r.get("type") == "offender-class"]
+
+ORACLE_GROUPS = {
+    "S3xS5": product(named("sym", 3), named("sym", 5)),
+    "GL2(5)": named("gl2", 5),
+    "C2xS5": product(named("cyclic", 2), named("sym", 5)),
+}
+
+
+@functools.cache
+def oracle_group(name):
+    """The group, its lattice, and the projection onto G/N for every proper
+    nontrivial normal N, found among the lattice's members."""
+    G = build_group(ORACLE_GROUPS[name])
+    subs = all_subgroups(G)
+    projections = [quotient_group(G, N)[1] for N in subs if 1 < N.order < G.n and is_normal(G, N)]
+    return G, subs, projections
+
+
+def _every_s3s5_class(test):
+    """Run every S3xS5 fixture class as an explicit example."""
+    for member in range(len(S3S5_CLASSES)):
+        test = example(name="S3xS5", picks=(0, 0, 0, 0), member=member)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(ORACLE_GROUPS)),
+    picks=st.tuples(*(st.integers(0, 10**6),) * 4),
+    member=st.none() | st.integers(0, len(S3S5_CLASSES) - 1),
+)
+@_every_s3s5_class
+def test_classification_matches_cores_and_quotients(name, picks, member):
+    # evaluate decides both levels inside G from its normal subgroups; the
+    # oracle takes the core of each role and builds every quotient group.  A
+    # drawn member is an S3xS5 class rebuilt from its record, else the four
+    # subgroups are drawn from the lattice
+    if member is not None:
+        name = "S3xS5"
+    G, subs, projections = oracle_group(name)
+    if member is None:
+        Q = Quadruple(*(subs[p % len(subs)] for p in picks))
+    else:
+        entries = S3S5_CLASSES[member]["subgroups"]
+        Q = Quadruple(*(generated_subgroup(G, [G.eval_word(w) for w in e["generators"]]) for e in entries))
+        assert [h.order for h in Q.subs] == [e["order"] for e in entries]
+    report = evaluate(Q, with_indomitable=True)
+    irreducible = report.generative and all(core(G, h).order == 1 for h in Q.subs)
+    assert report.irreducible == irreducible
+    indomitable = irreducible and not any(
+        is_offender(Quadruple(*(image_subgroup(proj, h) for h in Q.subs))) for proj in projections
+    )
+    assert report.indomitable == indomitable
+    if member is not None:
+        assert report.flags_json() == S3S5_CLASSES[member]["flags"]
+
+
 def test_shrink_h1_fixed_point_and_preservation(s5_classes):
     from ingleton.constructions import supersoluble_family
 
@@ -188,6 +256,17 @@ def _c2xs5_preimage_fixture():
     return G2, N, proj, full_pre, K
 
 
+def _partial_preimage(full_pre, K):
+    """The full preimage with roles 1 and 3 cut down to the complement K."""
+    G2 = full_pre.group
+    return Quadruple(
+        Subgroup(G2, full_pre.h1.bits & K.bits),
+        full_pre.h2,
+        Subgroup(G2, full_pre.h3.bits & K.bits),
+        full_pre.h4,
+    )
+
+
 def test_saturate_normal_full_and_partial_preimages():
     G2, N, proj, full_pre, K = _c2xs5_preimage_fixture()
     assert is_offender(full_pre)
@@ -201,12 +280,7 @@ def test_saturate_normal_full_and_partial_preimages():
     # partial preimage: deflate roles 1 and 3 to the complement side, keeping
     # N inside roles 2 and 4 only; still an offender, and saturation inflates
     # it back to the full preimage
-    partial = Quadruple(
-        Subgroup(G2, full_pre.h1.bits & K.bits),
-        full_pre.h2,
-        Subgroup(G2, full_pre.h3.bits & K.bits),
-        full_pre.h4,
-    )
+    partial = _partial_preimage(full_pre, K)
     assert partial.h1.order * 2 == full_pre.h1.order
     assert N.bits & partial.h1.bits == 1
     assert N.bits & partial.h2.bits == N.bits
@@ -216,6 +290,21 @@ def test_saturate_normal_full_and_partial_preimages():
     assert is_offender(resat)
     img2 = Quadruple(*(image_subgroup(proj, h) for h in resat.subs))
     assert is_offender(img2)
+
+
+def test_saturate_normal_in_a_sparse_group(monkeypatch):
+    # past groups.DEFAULT_ORDER_CAP a group has no table and join_bits closes
+    # generators: N*H must still hold N where N lies outside H
+    from ingleton import groups
+
+    G2, N, _, full_pre, K = _c2xs5_preimage_fixture()
+    partial = _partial_preimage(full_pre, K)
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+    G = build_group(G2.spec)
+    assert G.mul_table is None
+    sparse = Quadruple(*(Subgroup(G, h.bits) for h in partial.subs))
+    resat = saturate_normal(sparse, Subgroup(G, N.bits))
+    assert resat.bits_tuple() == full_pre.bits_tuple()
 
 
 def test_exclusion_verdict_examples():

@@ -106,7 +106,7 @@ def test_golden_search_records_a4wr2():
 
 
 def test_sparse_groups_verify_like_dense(monkeypatch):
-    # past groups.DENSE_LIMIT a group multiplies concrete elements; verify,
+    # past groups.DEFAULT_ORDER_CAP a group multiplies concrete elements; verify,
     # the class size included, must read the same either way
     from ingleton import groups
     from ingleton.records import rebuild_quadruple
@@ -117,7 +117,7 @@ def test_sparse_groups_verify_like_dense(monkeypatch):
             records += [r for r in read_records(f) if r.get("type") == "offender-class"]
     mutants = [{**r, "class_size": r["class_size"] + 1} for r in records]
     dense = [verify_record(r) for r in records + mutants]
-    monkeypatch.setattr(groups, "DENSE_LIMIT", 10)
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
     assert rebuild_quadruple(records[0]).group.mul_table is None
     assert [verify_record(r) for r in records + mutants] == dense
     assert dense[: len(records)] == [[]] * len(records)

@@ -202,6 +202,22 @@ def test_normal_subgroups_are_the_normal_members_of_the_lattice(spec):
     assert [N.bits for N in normal_subgroups(G)] == lattice_normals
 
 
+@pytest.mark.parametrize(
+    "spec", [cyclic_product(2, 2, 2, 2), product(named("alt", 4), named("alt", 4))], ids=["C2^4", "A4xA4"]
+)
+def test_normal_subgroups_of_sparse_groups_match_dense(spec, monkeypatch):
+    # past groups.DEFAULT_ORDER_CAP a group has no table and join_bits closes
+    # generators; normal_subgroups joins with base_gens=(), so H's own
+    # generators must still enter the closure
+    from ingleton import groups
+
+    dense = [N.bits for N in normal_subgroups(build_group(spec))]
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+    G = build_group(spec)
+    assert G.mul_table is None
+    assert [N.bits for N in normal_subgroups(G)] == dense
+
+
 def test_all_subgroups_counts():
     assert len(all_subgroups(build_group(named("cyclic", 6)))) == 4
     assert len(all_subgroups(build_group(named("dihedral", 4)))) == 10
