@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from . import permutations as perms
@@ -193,19 +194,25 @@ def parse_word(text: str) -> tuple[int, ...]:
 class GroupTable:
     """Immutable multiplication structure over element ids 0..n-1."""
 
-    def __init__(self, spec, n, gen_ids, words, labels, mul_table, inv, mul_c, elems, ids):
+    def __init__(self, spec, n, gen_ids, words, label_c, mul_table, inv, mul_c, elems, ids):
         self.spec = spec
         self.n = n
         self.identity = 0
         self.gen_ids = tuple(gen_ids)
         self.words = words
-        self.labels = labels
+        self._label_c = label_c
         self.mul_table = mul_table  # flat n*n list, or None for sparse groups
         self.inv = inv
         self._mul_c = mul_c
         self._elems = elems
         self._ids = ids
         self._cache: dict = {}
+
+    @cached_property
+    def labels(self) -> list[str]:
+        """A printable label per element, formatted on first use: no search or
+        verification step reads them, only the labels of products and quotients."""
+        return [self._label_c(e) for e in self._elems]
 
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
@@ -363,7 +370,6 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
         head += 1
     n = len(elems)
     gen_ids = [ids[g] for g in gens]
-    labels = [label_c(e) for e in elems]
 
     if n <= DEFAULT_ORDER_CAP:
         # Left-multiplication columns L_k let the table be filled a row at a
@@ -379,10 +385,10 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
         inv = [0] * n
         for a in range(n):
             inv[a] = mul_table[a * n : a * n + n].index(0)
-        return GroupTable(spec, n, gen_ids, words, labels, mul_table, inv, mul_c, elems, ids)
+        return GroupTable(spec, n, gen_ids, words, label_c, mul_table, inv, mul_c, elems, ids)
 
     inv = [ids[inverse_c(e)] for e in elems]
-    return GroupTable(spec, n, gen_ids, words, labels, None, inv, mul_c, elems, ids)
+    return GroupTable(spec, n, gen_ids, words, label_c, None, inv, mul_c, elems, ids)
 
 
 def _build_permutation(spec: PermutationGenerators, cap: int) -> GroupTable:

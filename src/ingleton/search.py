@@ -26,8 +26,14 @@ cyclic and normal subgroups, ``h34_mask`` prime-power cyclic ones.  Partner
 masks: ``apart[i]`` holds every j where neither of Hi, Hj contains the other,
 and ``meets[i]`` the members of ``apart[i]`` that meet Hi nontrivially.  The
 loops walk intersections of these masks; a disabled filter leaves its mask
-full.  What stays in the loops is the join-order test of ``product-h1h2``
-once per (H1, H2), which only looks at the subgroups of order |H1H2|.
+full.  ``_pair_tables`` builds them without visiting a pair: ``has[x]``, the
+mask of the subgroups holding element x, transposes the lattice once; the AND
+of ``has`` over Hi's generators is the set above Hi, that set transposed the
+set below, and the OR of ``has`` over Hi's nonidentity elements the set
+meeting Hi.  Only ``itab``, the table of intersection orders, visits every
+pair, one comprehension per row.  What stays in the loops is the join-order
+test of ``product-h1h2`` once per (H1, H2), which only looks at the subgroups
+of order |H1H2|.
 
 The Ingleton comparison is factored through product-set sizes.  A quadruple
 offends iff |H1||H2||H34||H123||H124| < |H12||H13||H14||H23||H24|; dividing
@@ -53,6 +59,8 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import and_, or_
 
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams, TimeBudgetExceeded
@@ -168,6 +176,39 @@ def minimal_constraints(Q: Quadruple) -> bool:
     return True
 
 
+def _pair_tables(n: int, subs: list[Subgroup], f_contain: bool, f_meets: bool):
+    """The intersection orders and partner masks of the lattice ``subs``.
+
+    ``itab[i][j]`` is |Hi ^ Hj|.  ``apart[i]`` holds every j where neither of
+    Hi, Hj contains the other (all j with ``f_contain`` off), and ``meets[i]``
+    the members of ``apart[i]`` that meet Hi nontrivially (all of ``apart[i]``
+    with ``f_meets`` off).  The module docstring says how the masks are built.
+    """
+    S = len(subs)
+    full = (1 << S) - 1
+    bits = [s.bits for s in subs]
+    itab = [array("i", [(bi & b).bit_count() for b in bits]) for bi in bits]
+    has = [0] * n
+    for i, b in enumerate(bits):
+        low = 1 << i
+        for x in bits_to_ids(b):
+            has[x] |= low
+    if f_contain:
+        above = [reduce(and_, map(has.__getitem__, s.gens), full) for s in subs]
+        below = [0] * S  # below[i]: the subgroups inside Hi, above transposed
+        for j, a in enumerate(above):
+            low = 1 << j
+            for i in bits_to_ids(a):
+                below[i] |= low
+        apart = [full & ~(a | b) for a, b in zip(above, below)]
+    else:
+        apart = [full] * S
+    if not f_meets:
+        return itab, apart, apart
+    meets = [a & reduce(or_, map(has.__getitem__, bits_to_ids(b & ~1)), 0) for a, b in zip(apart, bits)]
+    return itab, apart, meets
+
+
 def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[OffenderClass]:
     """All offender classes of G under the documented symmetry and options.
 
@@ -190,7 +231,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
                 partial=sorted(found, key=lambda c: c.key),
             )
 
-    subs = all_subgroups(G, opts.max_subgroups)
+    subs = all_subgroups(G, opts.max_subgroups, deadline)
     check_budget()
     S = len(subs)
     bits = [s.bits for s in subs]
@@ -217,29 +258,15 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
 
     cyclic = [is_cyclic(s) for s in subs]
 
-    # role and partner masks (see the module docstring), and the pairwise
-    # intersection orders the Ingleton comparison reads
-    itab = [array("i", bytes(4 * S)) for _ in range(S)]
+    # role masks (see the module docstring); the partner masks and the
+    # pairwise intersection orders come from _pair_tables
     h12_mask = h34_mask = 0
-    apart = [0] * S  # apart[i]: neither of Hi, Hj contains the other
-    meets = [0] * S  # meets[i]: members of apart[i] meeting Hi nontrivially
     for i in range(S):
-        bi, oi = bits[i], orders[i]
         if not (f_noncyc and cyclic[i]) and not (f_product and class_size[i] == 1):
             h12_mask |= 1 << i
-        if not (f_ppc and cyclic[i] and is_prime_power(oi)):
+        if not (f_ppc and cyclic[i] and is_prime_power(orders[i])):
             h34_mask |= 1 << i
-        row = itab[i]
-        for j in range(i + 1):
-            m = (bi & bits[j]).bit_count()
-            row[j] = itab[j][i] = m
-            if f_contain and (m == oi or m == orders[j]):
-                continue
-            apart[i] |= 1 << j
-            apart[j] |= 1 << i
-            if m > 1 or not f_meets:
-                meets[i] |= 1 << j
-                meets[j] |= 1 << i
+    itab, apart, meets = _pair_tables(G.n, subs, f_contain, f_meets)
 
     # the subgroups of each order, for the join-order test of product-h1h2
     of_order: dict[int, list[int]] = {}

@@ -21,9 +21,11 @@ independently from bitsets.
 
 from __future__ import annotations
 
+import time
 from array import array
+from operator import itemgetter
 
-from .errors import OrderCapExceeded, ParentMismatch
+from .errors import OrderCapExceeded, ParentMismatch, TimeBudgetExceeded
 from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits
 
 DEFAULT_SUBGROUP_CAP = 20000
@@ -191,25 +193,35 @@ def conjugation_table(G: GroupTable, bits: list[int], index_of: dict[int, int]) 
     """``conj[g][i]``: the index of g Hi g^-1, for every element g of G.
 
     The lattice ``bits`` is closed under conjugation.  Each generator's row
-    costs one ``conjugate_bits`` call per subgroup; every other element's row
-    is composed along a BFS tree of G, since conjugation by x*g is conjugation
-    by g followed by conjugation by x.
+    costs one ``conjugate_bits`` call per subgroup and becomes an
+    ``operator.itemgetter``.  Conjugation by x*g is conjugation by g followed
+    by conjugation by x, so the row of x*g is the generator's getter applied
+    to the row of x: one C-level call per element of G, walked as a BFS over
+    the generators.  Only the BFS frontier is held as tuples; each finished
+    row is stored as an ``array``.
     """
     S = len(bits)
     code = "H" if S <= 0xFFFF else "I"
+    if S == 1:  # every conjugation fixes a lone subgroup (and itemgetter(k) returns no tuple)
+        return [array(code, [0]) for _ in range(G.n)]
     gens = list(dict.fromkeys(G.gen_ids))
-    gen_rows = [array(code, [index_of[conjugate_bits(G, b, g)] for b in bits]) for g in gens]
+    picks = [itemgetter(*[index_of[conjugate_bits(G, b, g)] for b in bits]) for g in gens]
     conj: list = [None] * G.n
-    conj[0] = array(code, range(S))
+    identity = tuple(range(S))
+    conj[0] = array(code, identity)
     mt, n = G.mul_table, G.n
-    order = [0]
-    for x in order:  # grows while it is walked: a BFS of G over its generators
-        row = conj[x]
-        for g, grow in zip(gens, gen_rows):
-            y = mt[x * n + g]
-            if conj[y] is None:
-                conj[y] = array(code, map(row.__getitem__, grow))
-                order.append(y)
+    frontier = [(0, identity)]
+    while frontier:
+        nxt = []
+        for x, row in frontier:
+            xn = x * n
+            for g, pick in zip(gens, picks):
+                y = mt[xn + g]
+                if conj[y] is None:
+                    composed = pick(row)
+                    conj[y] = array(code, composed)
+                    nxt.append((y, composed))
+        frontier = nxt
     return conj
 
 
@@ -318,7 +330,9 @@ def cyclic_atoms(G: GroupTable) -> list[tuple[int, int, int]]:
     return atoms
 
 
-def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> list[Subgroup]:
+def all_subgroups(
+    G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP, deadline: float | None = None
+) -> list[Subgroup]:
     """Every subgroup of G, by cyclic extension of conjugacy-class representatives.
 
     Any subgroup is a join of cyclic subgroups of its own elements, so joining
@@ -328,7 +342,9 @@ def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> l
     if H = R^g, then <H, C> is conjugate to the join <R, C^(g^-1)>.  For n in
     N_G(R) the join <R, C^n> is <R, C>^n, so R is joined with the first atom
     of each N_G(R)-orbit only.  Raises OrderCapExceeded once more than
-    ``max_subgroups`` are known (lattice explosion guard) and caches nothing.
+    ``max_subgroups`` are known (lattice explosion guard), and
+    TimeBudgetExceeded when ``time.monotonic()`` passes ``deadline`` at the
+    start of a representative's joins; either way it caches nothing.
     """
     cached = G._cache.get("all_subgroups")
     if cached is not None:
@@ -359,6 +375,11 @@ def all_subgroups(G: GroupTable, max_subgroups: int = DEFAULT_SUBGROUP_CAP) -> l
             add_class(bits, (gen,))
     head = 0
     while head < len(reps):
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeBudgetExceeded(
+                f"lattice enumeration passed its deadline after joining {head} class "
+                f"representatives (group of order {G.n})"
+            )
         h_bits, h_gens = reps[head]
         head += 1
         norm = normaliser_ids(G, h_bits, h_gens)

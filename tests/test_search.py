@@ -7,13 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from ingleton.engine import Quadruple, ingleton_terms
 from ingleton.errors import BadParams, TimeBudgetExceeded
-from ingleton.groups import build_group, closure_ids
+from ingleton.groups import build_group, closure_ids, perm_spec
 from ingleton.records import class_size, read_records, rebuild_quadruple
 from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
     _orbit_of,
+    _pair_tables,
     canonical_class,
     minimal_constraints,
     oracle_options,
@@ -178,9 +179,14 @@ def test_class_size_of_every_corpus_record(path):
         assert class_size(rebuild_quadruple(record)) == record["class_size"]
 
 
-@pytest.mark.parametrize("spec", [named("sym", 4), named("alt", 5), named("sym", 5)], ids=["S4", "A5", "S5"])
+@pytest.mark.parametrize(
+    "spec",
+    [perm_spec([[0]], 1), named("cyclic", 2), named("sym", 4), named("alt", 5), named("sym", 5)],
+    ids=["trivial", "C2", "S4", "A5", "S5"],
+)
 def test_conjugation_table_matches_conjugate_bits(spec):
-    # rows composed along the BFS tree agree with conjugating every bitset directly
+    # rows composed along the BFS tree agree with conjugating every bitset
+    # directly, down to the one-subgroup lattice of the trivial group
     G = build_group(spec)
     bits = [s.bits for s in all_subgroups(G)]
     index_of = {b: i for i, b in enumerate(bits)}
@@ -188,6 +194,39 @@ def test_conjugation_table_matches_conjugate_bits(spec):
     assert len(conj) == G.n
     for g in range(G.n):
         assert list(conj[g]) == [index_of[conjugate_bits(G, b, g)] for b in bits]
+
+
+def test_conjugation_table_of_a_lone_subgroup():
+    # a one-subgroup list closed under conjugation: every row is (0,)
+    G = build_group(named("sym", 4))
+    assert [list(row) for row in conjugation_table(G, [1], {1: 0})] == [[0]] * G.n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("sym", 5), named("wreath2", "alt", 4), named("psl2", 8)],
+    ids=["S4", "A5", "S5", "A4wr2", "PSL2(8)"],
+)
+def test_pair_tables_match_pairwise_definitions(spec):
+    # the masks come from the transposed lattice; check every cell against
+    # the pairwise definitions under each on/off combination of the two
+    # partner filters.  A mask that is too large only slows the search, so
+    # the search's output cannot catch one.
+    G = build_group(spec)
+    subs = all_subgroups(G)
+    S = len(subs)
+    meet = [[(a.bits & b.bits).bit_count() for b in subs] for a in subs]
+    apart = [[meet[i][j] not in (subs[i].order, subs[j].order) for j in range(S)] for i in range(S)]
+    for f_contain in (True, False):
+        for f_meets in (True, False):
+            itab, apart_mask, meets_mask = _pair_tables(G.n, subs, f_contain, f_meets)
+            assert [list(row) for row in itab] == meet
+            for i in range(S):
+                want_apart = [apart[i][j] or not f_contain for j in range(S)]
+                want_meets = [want_apart[j] and (meet[i][j] > 1 or not f_meets) for j in range(S)]
+                assert [bool(apart_mask[i] >> j & 1) for j in range(S)] == want_apart
+                assert [bool(meets_mask[i] >> j & 1) for j in range(S)] == want_meets
+                assert apart_mask[i] >> S == meets_mask[i] >> S == 0
 
 
 @pytest.mark.parametrize(
@@ -303,6 +342,17 @@ def test_time_budget_exceeded_carries_partial():
     with pytest.raises(TimeBudgetExceeded) as info:
         search_offenders(G, SearchOptions(time_budget=0.0))
     assert isinstance(info.value.partial, list)
+
+
+def test_time_budget_checked_inside_the_lattice():
+    # on a fresh group the deadline stops the lattice at its first class
+    # representative, and the lattice is not cached half built
+    G = build_group(named("alt", 6))
+    with pytest.raises(TimeBudgetExceeded) as info:
+        search_offenders(G, SearchOptions(time_budget=0.0))
+    assert info.value.partial == []
+    assert "all_subgroups" not in G._cache
+    assert len(all_subgroups(G)) == 501  # a later call enumerates it whole
 
 
 def test_time_budget_checked_before_the_conjugation_table(monkeypatch, s5_group):
