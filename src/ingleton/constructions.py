@@ -319,6 +319,8 @@ def supersoluble_family(q: int, allow_small: bool = False, zeta: int | None = No
     F = field_create(q)
     if zeta is None:
         zeta = F.zeta
+    elif not 0 < zeta < q:
+        raise BadParams(f"zeta={zeta} is not a nonzero element 1..{q - 1} of GF({q})")
     elif F.element_order(zeta) != q - 1:
         raise BadParams(f"{zeta} is not a primitive element of GF({q})")
     mats = _family_matrices(F, zeta)

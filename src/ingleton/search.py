@@ -27,13 +27,16 @@ masks: ``apart[i]`` holds every j where neither of Hi, Hj contains the other,
 and ``meets[i]`` the members of ``apart[i]`` that meet Hi nontrivially.  The
 loops walk intersections of these masks; a disabled filter leaves its mask
 full.  ``_pair_tables`` builds them without visiting a pair: ``has[x]``, the
-mask of the subgroups holding element x, transposes the lattice once; the AND
-of ``has`` over Hi's generators is the set above Hi, that set transposed the
-set below, and the OR of ``has`` over Hi's nonidentity elements the set
-meeting Hi.  Only ``itab``, the table of intersection orders, visits every
-pair, one comprehension per row.  What stays in the loops is the join-order
-test of ``product-h1h2`` once per (H1, H2), which only looks at the subgroups
-of order |H1H2|.
+mask of the subgroups holding element x, transposes the lattice once (the
+conjugation table is read off the same masks); the AND of ``has`` over Hi's
+generators is the set above Hi, that set transposed the set below, and the
+OR of ``has`` over Hi's nonidentity elements the set meeting Hi.  ``itab``,
+the table of intersection orders, computes one row per subgroup class, one
+comprehension over the lattice at the representative; conjugation fixes
+intersection orders, |gHg^-1 ^ K| = |H ^ g^-1Kg|, so every other row of the
+class is the representative's row read through a row of the conjugation
+table.  What stays in the loops is the join-order test of ``product-h1h2``
+once per (H1, H2), which only looks at the subgroups of order |H1H2|.
 
 The Ingleton comparison is factored through product-set sizes.  A quadruple
 offends iff |H1||H2||H34||H123||H124| < |H12||H13||H14||H23||H24|; dividing
@@ -56,11 +59,12 @@ kernel.
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams, TimeBudgetExceeded
@@ -74,6 +78,7 @@ from .subgroups import (
     is_cyclic,
     is_prime_power,
     join_bits,
+    membership_masks,
     # not called here, but perfbench/workloads.py wraps both by this module's name
     is_normal,
     subgroup_conjugacy_classes,
@@ -117,6 +122,8 @@ class SearchOptions:
             raise BadParams(
                 f"unknown filter name(s) {sorted(unknown)}; known: {', '.join(ALL_FILTERS)}"
             )
+        if self.time_budget is not None and math.isnan(self.time_budget):
+            raise BadParams("time budget is NaN; give seconds, 0 or inf")
 
     def filter_enabled(self, name: str) -> bool:
         return "all" not in self.disable_filters and name not in self.disable_filters
@@ -176,23 +183,45 @@ def minimal_constraints(Q: Quadruple) -> bool:
     return True
 
 
-def _pair_tables(n: int, subs: list[Subgroup], f_contain: bool, f_meets: bool):
+def _lattice_classes(conj: list[array]):
+    """The subgroup classes read off the conjugation table ``conj``.
+
+    The orbit of i is Hi's class.  ``rep[i]``, its least index, is its least
+    (order, bits) member; ``class_size[i]`` is the class size at a
+    representative and 0 elsewhere, so ``class_size[i] == 1`` iff Hi is
+    normal; ``via[i]`` is one element g with ``conj[g][rep[i]] == i``.
+    """
+    S = len(conj[0])
+    rep, class_size, via = [-1] * S, [0] * S, [0] * S
+    for i in range(S):
+        if rep[i] < 0:
+            orbit = {c[i]: g for g, c in enumerate(conj)}
+            class_size[i] = len(orbit)
+            for j, g in orbit.items():
+                rep[j], via[j] = i, g
+    return rep, class_size, via
+
+
+def _pair_tables(G: GroupTable, subs: list[Subgroup], has: list[int], conj, rep, via, f_contain, f_meets):
     """The intersection orders and partner masks of the lattice ``subs``.
 
     ``itab[i][j]`` is |Hi ^ Hj|.  ``apart[i]`` holds every j where neither of
     Hi, Hj contains the other (all j with ``f_contain`` off), and ``meets[i]``
     the members of ``apart[i]`` that meet Hi nontrivially (all of ``apart[i]``
-    with ``f_meets`` off).  The module docstring says how the masks are built.
+    with ``f_meets`` off).  ``has`` is ``membership_masks`` of the lattice,
+    and ``conj``, ``rep`` and ``via`` its conjugation table and classes.  The
+    module docstring says how the tables are built.
     """
     S = len(subs)
     full = (1 << S) - 1
     bits = [s.bits for s in subs]
-    itab = [array("i", [(bi & b).bit_count() for b in bits]) for bi in bits]
-    has = [0] * n
-    for i, b in enumerate(bits):
-        low = 1 << i
-        for x in bits_to_ids(b):
-            has[x] |= low
+    inv = G.inv
+    itab = []
+    for i, (bi, r) in enumerate(zip(bits, rep)):
+        if r == i:
+            itab.append(array("i", [(bi & b).bit_count() for b in bits]))
+        else:  # Hi = g Hr g^-1 with g = via[i], and |gHg^-1 ^ K| = |H ^ g^-1Kg|
+            itab.append(array("i", itemgetter(*conj[inv[via[i]]])(itab[r])))
     if f_contain:
         above = [reduce(and_, map(has.__getitem__, s.gens), full) for s in subs]
         below = [0] * S  # below[i]: the subgroups inside Hi, above transposed
@@ -238,17 +267,9 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     orders = [s.order for s in subs]
     index_of = {s.bits: i for i, s in enumerate(subs)}
 
-    # the orbit of i in the table is Hi's class: rep[i], its least index, is
-    # its least (order, bits) member; class_size[i] is the class size at a
-    # representative and 0 elsewhere, so class_size[i] == 1 iff Hi is normal
-    conj = conjugation_table(G, bits, index_of)
-    rep, class_size = [-1] * S, [0] * S
-    for i in range(S):
-        if rep[i] < 0:
-            orbit = {c[i] for c in conj}
-            class_size[i] = len(orbit)
-            for j in orbit:
-                rep[j] = i
+    has = membership_masks(G.n, bits)
+    conj = conjugation_table(G, subs, has)
+    rep, class_size, via = _lattice_classes(conj)
 
     f_noncyc = opts.filter_enabled(FILTER_NONCYCLIC_H1H2)
     f_meets = opts.filter_enabled(FILTER_NONTRIVIAL_MEETS)
@@ -266,7 +287,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             h12_mask |= 1 << i
         if not (f_ppc and cyclic[i] and is_prime_power(orders[i])):
             h34_mask |= 1 << i
-    itab, apart, meets = _pair_tables(G.n, subs, f_contain, f_meets)
+    itab, apart, meets = _pair_tables(G, subs, has, conj, rep, via, f_contain, f_meets)
 
     # the subgroups of each order, for the join-order test of product-h1h2
     of_order: dict[int, list[int]] = {}

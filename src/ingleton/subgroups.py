@@ -13,17 +13,22 @@ only with one cyclic atom per N_G(R)-orbit: for n in N_G(R) the join
 comes from permuting the representative's bitset by ``G.conj_perm``, which
 costs one step per member instead of a join closure.  A join grows a union
 of right cosets along the Schreier graph, about one table lookup per element
-of the result.  ``conjugation_table`` then permutes lattice indices by
-conjugation: its orbits are the subgroup classes and its fixed points the
-normal subgroups, which ``subgroup_conjugacy_classes`` and ``is_normal`` find
-independently from bitsets.
+of the result, and stops by Lagrange's theorem as soon as the cosets cover
+more than |G|/p elements, p the least prime factor of [G:H]: most joins of
+a lattice are G, and those stop about halfway.  ``conjugation_table`` then
+permutes lattice indices by conjugation, reading each generator's row off
+``membership_masks`` of the lattice, which must be sorted by order: its
+orbits are the subgroup classes and its fixed points the normal subgroups,
+which ``subgroup_conjugacy_classes`` and ``is_normal`` find independently
+from bitsets.
 """
 
 from __future__ import annotations
 
 import time
 from array import array
-from operator import itemgetter
+from functools import reduce
+from operator import and_, itemgetter
 
 from .errors import OrderCapExceeded, ParentMismatch, TimeBudgetExceeded
 from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits
@@ -105,6 +110,16 @@ def product_set_size(A: Subgroup, B: Subgroup) -> int:
     return size
 
 
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing n (n itself for n = 1)."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
 def join_bits(G: GroupTable, base_bits: int, gens, base_gens=None) -> int:
     """Membership of <H, gens> given a subgroup H and extra generating elements.
 
@@ -114,6 +129,10 @@ def join_bits(G: GroupTable, base_bits: int, gens, base_gens=None) -> int:
     unless supplied (pass ``base_gens=()`` when H is normal in the join,
     where H * <gens> is already the whole join).  A group without a table
     closes generators instead, and then needs H's generators either way.
+
+    The growth stops by Lagrange: the join's index divides [G:H], so once
+    the cosets cover more than |G|/p elements, with p the least prime factor
+    of [G:H], that index is below p and hence 1, and the join is G.
     """
     if G.mul_table is None:
         return closure_ids(G, [*(base_gens or generating_set(G, base_bits)), *gens])
@@ -121,6 +140,8 @@ def join_bits(G: GroupTable, base_bits: int, gens, base_gens=None) -> int:
         base_gens = generating_set(G, base_bits)
     mt, n = G.mul_table, G.n
     members = bits_to_ids(base_bits)
+    size = order = len(members)
+    limit = n // least_prime_factor(n // order)
     edge_gens = [g for g in dict.fromkeys(tuple(base_gens) + tuple(gens)) if g]
     covered = base_bits | 1
     reps = [0]
@@ -136,6 +157,9 @@ def join_bits(G: GroupTable, base_bits: int, gens, base_gens=None) -> int:
                     cos |= 1 << mt[h * n + y]
                 cos |= 1 << y
                 covered |= cos
+                size += order
+                if size > limit:
+                    return (1 << n) - 1
                 reps.append(y)
     return covered
 
@@ -189,23 +213,42 @@ def normaliser_ids(G: GroupTable, bits: int, gens) -> list[int]:
     return out
 
 
-def conjugation_table(G: GroupTable, bits: list[int], index_of: dict[int, int]) -> list[array]:
+def membership_masks(n: int, bits: list[int]) -> list[int]:
+    """``has[x]``: the mask of the indices i with element x in ``bits[i]``."""
+    has = [0] * n
+    for i, b in enumerate(bits):
+        low = 1 << i
+        for x in bits_to_ids(b):
+            has[x] |= low
+    return has
+
+
+def conjugation_table(G: GroupTable, subs: list[Subgroup], has: list[int]) -> list[array]:
     """``conj[g][i]``: the index of g Hi g^-1, for every element g of G.
 
-    The lattice ``bits`` is closed under conjugation.  Each generator's row
-    costs one ``conjugate_bits`` call per subgroup and becomes an
+    ``subs`` is closed under conjugation and sorted by order, and ``has`` is
+    ``membership_masks`` of it.  The images under g of Hi's generators
+    generate g Hi g^-1, so the AND of their ``has`` masks holds the members
+    of ``subs`` that contain g Hi g^-1; the only one of them no larger is
+    g Hi g^-1 itself, so by the order sort it is the lowest index.  Each
+    generator's row costs one such AND per subgroup and becomes an
     ``operator.itemgetter``.  Conjugation by x*g is conjugation by g followed
     by conjugation by x, so the row of x*g is the generator's getter applied
     to the row of x: one C-level call per element of G, walked as a BFS over
     the generators.  Only the BFS frontier is held as tuples; each finished
     row is stored as an ``array``.
     """
-    S = len(bits)
+    S = len(subs)
     code = "H" if S <= 0xFFFF else "I"
     if S == 1:  # every conjugation fixes a lone subgroup (and itemgetter(k) returns no tuple)
         return [array(code, [0]) for _ in range(G.n)]
     gens = list(dict.fromkeys(G.gen_ids))
-    picks = [itemgetter(*[index_of[conjugate_bits(G, b, g)] for b in bits]) for g in gens]
+    full = (1 << S) - 1
+    picks = []
+    for g in gens:
+        image = G.conj_perm(g)
+        above = [reduce(and_, [has[image[x]] for x in s.gens], full) for s in subs]
+        picks.append(itemgetter(*[(m & -m).bit_length() - 1 for m in above]))
     conj: list = [None] * G.n
     identity = tuple(range(S))
     conj[0] = array(code, identity)
@@ -441,14 +484,10 @@ def is_cyclic(H: Subgroup) -> bool:
 def is_prime_power(n: int) -> bool:
     if n < 2:
         return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True  # n itself prime
+    p = least_prime_factor(n)
+    while n % p == 0:
+        n //= p
+    return n == 1
 
 
 def is_cyclic_prime_power(H: Subgroup) -> bool:

@@ -142,6 +142,14 @@ def test_family_rejects_non_primitive_zeta():
         supersoluble_family(5, zeta=4)  # 4 has order 2 in GF(5)*
 
 
+@pytest.mark.parametrize("zeta", [0, 5, -1, 6])
+def test_family_rejects_zeta_outside_the_field(zeta):
+    # rejected before any multiplicative order is computed: 0 has none, 5
+    # and 6 index past the field's tables and -1 never reaches 1
+    with pytest.raises(BadParams):
+        supersoluble_family(5, zeta=zeta)
+
+
 def test_example_3xpsl27():
     Q = example_3xpsl27()
     assert Q.group.n == 504

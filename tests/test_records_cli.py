@@ -161,6 +161,11 @@ def test_cli_search_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cli_search_nan_budget_is_a_usage_error(capsys):
+    assert run_cli("search", "--named", "sym:4", "--budget", "nan") == 2
+    assert "NaN" in capsys.readouterr().err
+
+
 def test_cli_search_budget_exit(capsys):
     assert run_cli("search", "--named", "alt:6", "--budget", "0") == 3
     out = capsys.readouterr().out.strip().splitlines()
@@ -186,6 +191,12 @@ def test_cli_family(capsys):
 
     assert run_cli("family", "2") == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("zeta", ["0", "5", "-1", "6"])
+def test_cli_family_zeta_outside_the_field(capsys, zeta):
+    assert run_cli("family", "5", f"--zeta={zeta}") == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_family_q3_warning(capsys):

@@ -13,6 +13,7 @@ from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
+    _lattice_classes,
     _orbit_of,
     _pair_tables,
     canonical_class,
@@ -26,8 +27,10 @@ from ingleton.subgroups import (
     conjugate_bits,
     conjugate_subgroup,
     conjugation_table,
+    membership_masks,
     normal_subgroups,
     subgroup_conjugacy_classes,
+    trivial_subgroup,
 )
 
 from conftest import named, product, relabelled
@@ -114,6 +117,14 @@ def test_unknown_require_level_rejected():
         SearchOptions(require="offender")
 
 
+def test_search_options_reject_a_nan_budget():
+    # a NaN deadline compares false, so it would silently run unbudgeted
+    with pytest.raises(BadParams):
+        SearchOptions(time_budget=float("nan"))
+    for budget in (0.0, float("inf"), None):
+        assert SearchOptions(time_budget=budget).time_budget == budget
+
+
 def test_canonical_class_idempotent_and_orbit_constant(s5_classes, s5_group):
     rep = s5_classes[0].representative
     canon = canonical_class(rep)
@@ -179,18 +190,39 @@ def test_class_size_of_every_corpus_record(path):
         assert class_size(rebuild_quadruple(record)) == record["class_size"]
 
 
+RELABELLED_S5 = relabelled(expand_named("sym", (5,)), (2, 4, 0, 3, 1))
+
+
+def lattice_tables(G):
+    """The lattice of G with its membership masks and conjugation table."""
+    subs = all_subgroups(G)
+    has = membership_masks(G.n, [s.bits for s in subs])
+    return subs, has, conjugation_table(G, subs, has)
+
+
 @pytest.mark.parametrize(
     "spec",
-    [perm_spec([[0]], 1), named("cyclic", 2), named("sym", 4), named("alt", 5), named("sym", 5)],
-    ids=["trivial", "C2", "S4", "A5", "S5"],
+    [
+        perm_spec([[0]], 1),
+        named("cyclic", 2),
+        named("sym", 4),
+        named("alt", 5),
+        named("sym", 5),
+        named("wreath2", "alt", 4),
+        named("psl2", 8),
+        RELABELLED_S5,
+    ],
+    ids=["trivial", "C2", "S4", "A5", "S5", "A4wr2", "PSL2(8)", "S5-relabelled"],
 )
 def test_conjugation_table_matches_conjugate_bits(spec):
-    # rows composed along the BFS tree agree with conjugating every bitset
-    # directly, down to the one-subgroup lattice of the trivial group
+    # generator rows read off the membership masks and rows composed along
+    # the BFS tree agree with conjugating every bitset directly, down to the
+    # one-subgroup lattice of the trivial group; the masks rule leans on the
+    # lattice's (order, bits) sort, which the relabelled group reshuffles
     G = build_group(spec)
-    bits = [s.bits for s in all_subgroups(G)]
+    subs, _, conj = lattice_tables(G)
+    bits = [s.bits for s in subs]
     index_of = {b: i for i, b in enumerate(bits)}
-    conj = conjugation_table(G, bits, index_of)
     assert len(conj) == G.n
     for g in range(G.n):
         assert list(conj[g]) == [index_of[conjugate_bits(G, b, g)] for b in bits]
@@ -199,13 +231,21 @@ def test_conjugation_table_matches_conjugate_bits(spec):
 def test_conjugation_table_of_a_lone_subgroup():
     # a one-subgroup list closed under conjugation: every row is (0,)
     G = build_group(named("sym", 4))
-    assert [list(row) for row in conjugation_table(G, [1], {1: 0})] == [[0]] * G.n
+    lone = [trivial_subgroup(G)]
+    assert [list(row) for row in conjugation_table(G, lone, membership_masks(G.n, [1]))] == [[0]] * G.n
 
 
 @pytest.mark.parametrize(
     "spec",
-    [named("sym", 4), named("alt", 5), named("sym", 5), named("wreath2", "alt", 4), named("psl2", 8)],
-    ids=["S4", "A5", "S5", "A4wr2", "PSL2(8)"],
+    [
+        named("sym", 4),
+        named("alt", 5),
+        named("sym", 5),
+        named("wreath2", "alt", 4),
+        named("psl2", 8),
+        RELABELLED_S5,
+    ],
+    ids=["S4", "A5", "S5", "A4wr2", "PSL2(8)", "S5-relabelled"],
 )
 def test_pair_tables_match_pairwise_definitions(spec):
     # the masks come from the transposed lattice; check every cell against
@@ -213,13 +253,14 @@ def test_pair_tables_match_pairwise_definitions(spec):
     # partner filters.  A mask that is too large only slows the search, so
     # the search's output cannot catch one.
     G = build_group(spec)
-    subs = all_subgroups(G)
+    subs, has, conj = lattice_tables(G)
+    rep, _, via = _lattice_classes(conj)
     S = len(subs)
     meet = [[(a.bits & b.bits).bit_count() for b in subs] for a in subs]
     apart = [[meet[i][j] not in (subs[i].order, subs[j].order) for j in range(S)] for i in range(S)]
     for f_contain in (True, False):
         for f_meets in (True, False):
-            itab, apart_mask, meets_mask = _pair_tables(G.n, subs, f_contain, f_meets)
+            itab, apart_mask, meets_mask = _pair_tables(G, subs, has, conj, rep, via, f_contain, f_meets)
             assert [list(row) for row in itab] == meet
             for i in range(S):
                 want_apart = [apart[i][j] or not f_contain for j in range(S)]
@@ -238,9 +279,8 @@ def test_conjugation_table_orbits_are_the_subgroup_classes(spec):
     # the search reads classes and normality off the table; check both against
     # bitset conjugation and against normal closures that never see the lattice
     G = build_group(spec)
-    subs = all_subgroups(G)
+    subs, _, conj = lattice_tables(G)
     bits = [s.bits for s in subs]
-    conj = conjugation_table(G, bits, {b: i for i, b in enumerate(bits)})
     orbits = {frozenset(bits[c[i]] for c in conj) for i in range(len(bits))}
     assert orbits == {frozenset(s.bits for s in cls) for cls in subgroup_conjugacy_classes(G, subs)}
     assert sorted(next(iter(o)) for o in orbits if len(o) == 1) == sorted(N.bits for N in normal_subgroups(G))

@@ -19,6 +19,8 @@ from ingleton.subgroups import (
     is_normal,
     is_product_subgroup,
     join,
+    join_bits,
+    least_prime_factor,
     normal_subgroups,
     normaliser_ids,
     product_set_size,
@@ -267,6 +269,56 @@ def test_all_subgroups_matches_subset_bruteforce():
 def test_all_subgroups_matches_naive_join_closure(spec):
     G = build_group(spec)
     assert {s.bits for s in all_subgroups(G)} == naive_all_subgroups(G)
+
+
+def test_join_bits_matches_generator_closure():
+    # every join the lattice could ask for, against closing the generators;
+    # the Lagrange exit fires past |G|/p, with p the least prime factor of
+    # [G:H], so the cases must include a prime [G:H] (the exit fires on the
+    # first new coset) and a join of index exactly p (the largest it must
+    # not cut short)
+    prime_index = index_p = 0
+    for spec in (named("sym", 4), named("alt", 5), named("psl2", 7), named("wreath2", "alt", 4)):
+        G = build_group(spec)
+        for cls in subgroup_conjugacy_classes(G, all_subgroups(G)):
+            H = cls[0]
+            index = G.n // H.order
+            p = least_prime_factor(index)
+            for c_bits, _, c in cyclic_atoms(G):
+                j = join_bits(G, H.bits, (c,), base_gens=H.gens)
+                assert j == closure_ids(G, H.gens + (c,))
+                grown = c_bits & ~H.bits != 0
+                prime_index += grown and p == index
+                index_p += grown and G.n == p * j.bit_count()
+    assert prime_index and index_p
+
+
+class CountingReads(list):
+    """A multiplication table that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_join_bits_stops_by_lagrange(monkeypatch):
+    # a point stabiliser S4 has prime index 5 in S5, so one coset past the
+    # base covers more than |G|/5 elements and the join is G: one coset of
+    # 24 table reads is filled, not the 4 that growing the whole join takes
+    G = build_group(named("sym", 5))
+    H = next(s for s in all_subgroups(G) if s.order == 24)
+    c = next(x for x in range(G.n) if x not in H)
+    table = CountingReads(G.mul_table)
+    monkeypatch.setattr(G, "mul_table", table)
+    assert join_bits(G, H.bits, (c,), base_gens=H.gens) == (1 << G.n) - 1
+    reads = table.reads
+    assert reads < 2 * H.order
+
+
+def test_least_prime_factor():
+    assert [least_prime_factor(n) for n in (1, 2, 9, 15, 49, 97, 504)] == [1, 2, 3, 3, 7, 97, 2]
 
 
 def normaliser_order(G, H):
