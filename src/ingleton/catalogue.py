@@ -306,6 +306,7 @@ def run_catalogue(subset: str, stream, budget: float | None = None):
     entries = SUBSETS.get(subset)
     if entries is None:
         raise IngletonError(f"unknown subset {subset!r}; choose from {', '.join(SUBSETS)}")
+    SearchOptions(time_budget=budget)  # rejects a NaN budget before any entry runs
     all_passed = True
     results = []
     stream.write(f"catalogue subset: {subset} ({len(entries)} entries)\n")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import NotPrimePower
+from .errors import BadParams, NotPrimePower
 
 MAX_FIELD = 64
 
@@ -167,6 +167,8 @@ class FieldTable:
     def element_order(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative order")
+        if not 0 < a < self.q:
+            raise BadParams(f"{a} is not a nonzero element 1..{self.q - 1} of GF({self.q})")
         n, x = 1, a
         while x != 1:
             x = self.mul(x, a)

@@ -30,13 +30,15 @@ full.  ``_pair_tables`` builds them without visiting a pair: ``has[x]``, the
 mask of the subgroups holding element x, transposes the lattice once (the
 conjugation table is read off the same masks); the AND of ``has`` over Hi's
 generators is the set above Hi, that set transposed the set below, and the
-OR of ``has`` over Hi's nonidentity elements the set meeting Hi.  ``itab``,
-the table of intersection orders, computes one row per subgroup class, one
-comprehension over the lattice at the representative; conjugation fixes
-intersection orders, |gHg^-1 ^ K| = |H ^ g^-1Kg|, so every other row of the
-class is the representative's row read through a row of the conjugation
-table.  What stays in the loops is the join-order test of ``product-h1h2``
-once per (H1, H2), which only looks at the subgroups of order |H1H2|.
+OR of ``has`` over Hi's nonidentity elements the set meeting Hi.  In
+place of a table of intersection orders, ``levels[i]`` holds, for each order
+w > 1 of a subgroup of Hi, ascending, the mask ``ge`` of the k with
+|Hi ^ Hk| >= w.  It is the OR of the sets above K over the K <= Hi with
+|K| >= w: Hi ^ Hk is such a K, and a k above such a K meets Hi in at least
+|K| elements.  Walking Hi's subgroups by falling order builds every level of
+Hi at one OR per containment pair.  What stays in the loops is the
+join-order test of ``product-h1h2`` once per (H1, H2), which only looks at
+the subgroups of order |H1H2|.
 
 The Ingleton comparison is factored through product-set sizes.  A quadruple
 offends iff |H1||H2||H34||H123||H124| < |H12||H13||H14||H23||H24|; dividing
@@ -45,16 +47,25 @@ by |H12||H123||H124| gives
     P |H34| < t3 t4,   P = |H1||H2| / |H12| = |H1H2|,
                        tk = |H1k||H2k| / |H12k| = |H1k H2k|,
 
-exact integers because H1k ^ H2k = H12k.  H12 is in the lattice, so the row
-of H12 in the table of intersection orders gives |H12k| for every k, and the
-row ``t`` is computed once per (H1, H2) over the H3/H4 candidates, which are
-bucketed by their t value.  Since |H34| >= 1, an H4 can offend only if
-t4 > P // t3: the mask of the candidates above each distinct threshold is
-built on first use and ANDed into the H4 mask, so most H4 candidates are
-never visited, and an H3 is visited only if t3 > P // max(t).  Per visited H4
-the comparison is two list reads.  This threshold is the comparison
-rearranged, not a filter, so oracle mode (every filter off) runs the same
-kernel.
+exact integers because H1k ^ H2k = H12k.  ``_offending_h4`` computes the row
+``t`` once per (H1, H2) over the H3/H4 candidates and buckets them by their
+t value, so the mask "t above v" is an OR of buckets, built on first use per
+v.  For integers, P w < t3 t4 iff t4 > P w // t3, so the offending H4 of an
+H3 are set algebra on these masks:
+
+- an H3 is visited only if t3 > P // max(t), since |H34| >= 1;
+- its H4 mask starts as the candidates with t4 > P // t3, which is exact
+  for |H34| = 1;
+- for each level (w, ge) of H3, ascending, the members of ``ge`` keep only
+  those with t4 > P w // t3.
+
+An H4 with |H34| = w is in the ``ge`` of every level up to w and of none
+above, and the thresholds rise with w, so the last threshold applied to it is
+its own: the mask left is exactly the offending H4, and each of its bits goes
+to hit handling with no comparison.  The ``ge`` masks shrink as w rises, so
+the walk stops at the first one that misses the mask.  This rule is the
+comparison rearranged, not a filter, so oracle mode (every filter off) runs
+the same kernel.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ import time
 from array import array
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import and_, itemgetter, or_
+from operator import and_, or_
 
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams, TimeBudgetExceeded
@@ -189,53 +200,108 @@ def _lattice_classes(conj: list[array]):
     The orbit of i is Hi's class.  ``rep[i]``, its least index, is its least
     (order, bits) member; ``class_size[i]`` is the class size at a
     representative and 0 elsewhere, so ``class_size[i] == 1`` iff Hi is
-    normal; ``via[i]`` is one element g with ``conj[g][rep[i]] == i``.
+    normal.
     """
     S = len(conj[0])
-    rep, class_size, via = [-1] * S, [0] * S, [0] * S
+    rep, class_size = [-1] * S, [0] * S
     for i in range(S):
         if rep[i] < 0:
-            orbit = {c[i]: g for g, c in enumerate(conj)}
+            orbit = {c[i] for c in conj}
             class_size[i] = len(orbit)
-            for j, g in orbit.items():
-                rep[j], via[j] = i, g
-    return rep, class_size, via
+            for j in orbit:
+                rep[j] = i
+    return rep, class_size
 
 
-def _pair_tables(G: GroupTable, subs: list[Subgroup], has: list[int], conj, rep, via, f_contain, f_meets):
-    """The intersection orders and partner masks of the lattice ``subs``.
+def _pair_tables(subs: list[Subgroup], has: list[int], f_contain, f_meets):
+    """The partner masks and intersection levels of the lattice ``subs``.
 
-    ``itab[i][j]`` is |Hi ^ Hj|.  ``apart[i]`` holds every j where neither of
-    Hi, Hj contains the other (all j with ``f_contain`` off), and ``meets[i]``
-    the members of ``apart[i]`` that meet Hi nontrivially (all of ``apart[i]``
-    with ``f_meets`` off).  ``has`` is ``membership_masks`` of the lattice,
-    and ``conj``, ``rep`` and ``via`` its conjugation table and classes.  The
+    ``apart[i]`` holds every j where neither of Hi, Hj contains the other (all
+    j with ``f_contain`` off), and ``meets[i]`` the members of ``apart[i]``
+    that meet Hi nontrivially (all of ``apart[i]`` with ``f_meets`` off).
+    ``levels[i]`` has one ``(w, ge)`` per order w > 1 of a subgroup of Hi,
+    ascending, where ``ge`` is the mask of the k with |Hi ^ Hk| >= w.  ``has``
+    is ``membership_masks`` of the lattice, which is sorted by order.  The
     module docstring says how the tables are built.
     """
     S = len(subs)
     full = (1 << S) - 1
-    bits = [s.bits for s in subs]
-    inv = G.inv
-    itab = []
-    for i, (bi, r) in enumerate(zip(bits, rep)):
-        if r == i:
-            itab.append(array("i", [(bi & b).bit_count() for b in bits]))
-        else:  # Hi = g Hr g^-1 with g = via[i], and |gHg^-1 ^ K| = |H ^ g^-1Kg|
-            itab.append(array("i", itemgetter(*conj[inv[via[i]]])(itab[r])))
+    orders = [s.order for s in subs]
+    above = [reduce(and_, map(has.__getitem__, s.gens), full) for s in subs]
+    below = [0] * S  # below[i]: the subgroups inside Hi, above transposed
+    for j, a in enumerate(above):
+        low = 1 << j
+        for i in bits_to_ids(a):
+            below[i] |= low
+    levels = []
+    for b in below:
+        # walk the subgroups K of Hi by falling order: after the last K of
+        # order w, ``ge`` is the OR of above[K] over all |K| >= w
+        ks = bits_to_ids(b)  # ks[0] == 0, the trivial subgroup
+        level, ge = [], 0
+        for j in range(len(ks) - 1, 0, -1):
+            k = ks[j]
+            ge |= above[k]
+            if orders[ks[j - 1]] != orders[k]:
+                level.append((orders[k], ge))
+        level.reverse()
+        levels.append(level)
     if f_contain:
-        above = [reduce(and_, map(has.__getitem__, s.gens), full) for s in subs]
-        below = [0] * S  # below[i]: the subgroups inside Hi, above transposed
-        for j, a in enumerate(above):
-            low = 1 << j
-            for i in bits_to_ids(a):
-                below[i] |= low
         apart = [full & ~(a | b) for a, b in zip(above, below)]
     else:
         apart = [full] * S
     if not f_meets:
-        return itab, apart, apart
-    meets = [a & reduce(or_, map(has.__getitem__, bits_to_ids(b & ~1)), 0) for a, b in zip(apart, bits)]
-    return itab, apart, meets
+        return apart, apart, levels
+    meets = [a & reduce(or_, map(has.__getitem__, bits_to_ids(s.bits & ~1)), 0) for a, s in zip(apart, subs)]
+    return apart, meets, levels
+
+
+def _offending_h4(P: int, b1: int, b2: int, cands: int, bits: list[int], apart: list[int], levels):
+    """Yield ``(i3, m4)`` for each H3 the search visits with H1, H2 = ``b1``, ``b2``.
+
+    ``P`` is |H1H2| and ``cands`` the mask of the H3/H4 candidates; ``m4``
+    is exactly the mask of the H4 in ``apart[i3]`` with i4 >= i3 that make
+    (H1, H2, H3, H4) offend.  The module docstring gives the rule.
+    """
+    b12 = b1 & b2
+    # t[k] = |H1k H2k|, and the candidates bucketed by it
+    t = [0] * len(bits)
+    by_t: dict[int, int] = {}
+    m = cands
+    while m:
+        low = m & -m
+        k = low.bit_length() - 1
+        m ^= low
+        bk = bits[k]
+        tk = t[k] = (b1 & bk).bit_count() * (b2 & bk).bit_count() // (b12 & bk).bit_count()
+        by_t[tk] = by_t.get(tk, 0) | low
+    if not by_t:
+        return
+    above: dict[int, int] = {}  # v -> candidates with t > v
+
+    def t_above(v):
+        mask = above.get(v)
+        if mask is None:
+            mask = 0
+            for tk, mk in by_t.items():
+                if tk > v:
+                    mask |= mk
+            above[v] = mask
+        return mask
+
+    # an H3 has a partner only if t3 > P // max(t)
+    m3 = t_above(P // max(by_t))
+    while m3:
+        low3 = m3 & -m3
+        i3 = low3.bit_length() - 1
+        m3 ^= low3
+        t3 = t[i3]
+        m4 = (t_above(P // t3) & apart[i3]) >> i3 << i3
+        for w, ge in levels[i3]:
+            if not m4 & ge:
+                break
+            m4 &= ~ge | t_above(P * w // t3)
+        yield i3, m4
 
 
 def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[OffenderClass]:
@@ -265,11 +331,10 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     S = len(subs)
     bits = [s.bits for s in subs]
     orders = [s.order for s in subs]
-    index_of = {s.bits: i for i, s in enumerate(subs)}
 
     has = membership_masks(G.n, bits)
     conj = conjugation_table(G, subs, has)
-    rep, class_size, via = _lattice_classes(conj)
+    rep, class_size = _lattice_classes(conj)
 
     f_noncyc = opts.filter_enabled(FILTER_NONCYCLIC_H1H2)
     f_meets = opts.filter_enabled(FILTER_NONTRIVIAL_MEETS)
@@ -280,14 +345,14 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     cyclic = [is_cyclic(s) for s in subs]
 
     # role masks (see the module docstring); the partner masks and the
-    # pairwise intersection orders come from _pair_tables
+    # intersection levels come from _pair_tables
     h12_mask = h34_mask = 0
     for i in range(S):
         if not (f_noncyc and cyclic[i]) and not (f_product and class_size[i] == 1):
             h12_mask |= 1 << i
         if not (f_ppc and cyclic[i] and is_prime_power(orders[i])):
             h34_mask |= 1 << i
-    itab, apart, meets = _pair_tables(G, subs, has, conj, rep, via, f_contain, f_meets)
+    apart, meets, levels = _pair_tables(subs, has, f_contain, f_meets)
 
     # the subgroups of each order, for the join-order test of product-h1h2
     of_order: dict[int, list[int]] = {}
@@ -333,7 +398,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     for i1 in range(S):
         if rep[i1] != i1 or not h12_mask >> i1 & 1:
             continue
-        b1, o1, row1 = bits[i1], orders[i1], itab[i1]
+        b1, o1 = bits[i1], orders[i1]
         stab = [c for c in conj if c[i1] == i1]  # N_G(H1), acting on indices
         visited = bytearray(S)  # H2 candidates in the N_G(H1)-orbit of a visited one
         for i2 in bits_to_ids(meets[i1] & h12_mask):
@@ -342,52 +407,20 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             for c in stab:
                 visited[c[i2]] = 1
             check_budget()
-            b2, row2 = bits[i2], itab[i2]
-            P = o1 * orders[i2] // row1[i2]  # |H1H2|
+            b2 = bits[i2]
+            P = o1 * orders[i2] // (b1 & b2).bit_count()  # |H1H2|
             # the join-order half of product-h1h2: every subgroup above H1 and
             # H2 holds the P elements of H1H2, so H1H2 is a subgroup iff a
             # subgroup of order P contains both
             u = b1 | b2
             if f_product and any(u & b == u for b in of_order.get(P, ())):
                 continue
-            row12 = itab[index_of[b1 & b2]]
-            # t[k] = |H1k H2k|, and the H3/H4 candidates bucketed by it
-            t = [0] * S
-            by_t: dict[int, int] = {}
-            m = meets[i1] & meets[i2] & h34_mask
-            while m:
-                low = m & -m
-                k = low.bit_length() - 1
-                m ^= low
-                tk = t[k] = row1[k] * row2[k] // row12[k]
-                by_t[tk] = by_t.get(tk, 0) | low
-            above: dict[int, int] = {}  # v -> candidates with t > v
-
-            def t_above(v):
-                mask = above.get(v)
-                if mask is None:
-                    mask = 0
-                    for tk, mk in by_t.items():
-                        if tk > v:
-                            mask |= mk
-                    above[v] = mask
-                return mask
-
-            # an H3 has a partner only if t3 > P // max(t)
-            m3 = t_above(P // max(by_t)) if by_t else 0
-            while m3:
-                low3 = m3 & -m3
-                i3 = low3.bit_length() - 1
-                m3 ^= low3
-                t3 = t[i3]
-                m4 = (t_above(P // t3) & apart[i3]) >> i3 << i3
-                row3 = itab[i3]
+            cands = meets[i1] & meets[i2] & h34_mask
+            for i3, m4 in _offending_h4(P, b1, b2, cands, bits, apart, levels):
                 while m4:
                     low4 = m4 & -m4
-                    i4 = low4.bit_length() - 1
                     m4 ^= low4
-                    if P * row3[i4] < t3 * t[i4]:
-                        handle_hit(i1, i2, i3, i4)
+                    handle_hit(i1, i2, i3, low4.bit_length() - 1)
     found.sort(key=lambda c: c.key)
     return found
 

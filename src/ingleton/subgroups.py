@@ -11,7 +11,12 @@ only one representative R per class is joined with cyclic subgroups, and
 only with one cyclic atom per N_G(R)-orbit: for n in N_G(R) the join
 <R, C^n> is <R, C>^n, whose class is already known.  The rest of each class
 comes from permuting the representative's bitset by ``G.conj_perm``, which
-costs one step per member instead of a join closure.  A join grows a union
+costs one step per member instead of a join closure.  N_G(R) comes from the
+same class BFS by orbit-stabiliser, with no scan over G: the BFS keeps a
+transversal and, for each edge that reaches a conjugate already found, a
+Schreier element fixing R.  By Schreier's lemma these generate N_G(R), so
+the atoms' N_G(R)-orbits are a BFS over R's generators and the Schreier
+elements outside R.  A join grows a union
 of right cosets along the Schreier graph, about one table lookup per element
 of the result, and stops by Lagrange's theorem as soon as the cosets cover
 more than |G|/p elements, p the least prime factor of [G:H]: most joins of
@@ -198,21 +203,6 @@ def conjugate_subgroup(G: GroupTable, H: Subgroup, g: int) -> Subgroup:
     return Subgroup(G, conjugate_bits(G, H.bits, g), tuple(perm[x] for x in H.gens))
 
 
-def normaliser_ids(G: GroupTable, bits: int, gens) -> list[int]:
-    """N_G(H) as element ids: the g with g*r*g^-1 in H for each generator r of H.
-
-    ``gens`` must generate H; each test is two multiplication-table reads.
-    """
-    G.require_dense()
-    mt, n, inv = G.mul_table, G.n, G.inv
-    out = []
-    for g in range(n):
-        gn, gi = g * n, inv[g]
-        if all(bits >> mt[mt[gn + r] * n + gi] & 1 for r in gens):
-            out.append(g)
-    return out
-
-
 def membership_masks(n: int, bits: list[int]) -> list[int]:
     """``has[x]``: the mask of the indices i with element x in ``bits[i]``."""
     has = [0] * n
@@ -268,14 +258,25 @@ def conjugation_table(G: GroupTable, subs: list[Subgroup], has: list[int]) -> li
     return conj
 
 
-def _conjugacy_class(G: GroupTable, bits: int, gens=()) -> dict[int, tuple[int, ...]]:
-    """The conjugates of a subgroup, each bitset mapped to ``gens`` conjugated alike.
+def _conjugacy_class(
+    G: GroupTable, bits: int, gens=(), schreier: list[int] | None = None
+) -> dict[int, tuple[int, ...]]:
+    """The conjugates of a subgroup H, each bitset mapped to ``gens`` conjugated alike.
 
-    A generating set of the subgroup so yields one of each conjugate.
+    A generating set of H so yields one of each conjugate.  The class is a
+    BFS over G's generators.  Given a list ``schreier``, the BFS also keeps a
+    transversal u, u[b] H u[b]^-1 = b, at one table read per new conjugate,
+    and appends to the list the Schreier element u[c]^-1 g u[b] of each edge
+    b -g-> c that reaches a conjugate c already found.  Each fixes H, and
+    they generate N_G(H) (Schreier's lemma; the edges of the BFS tree give
+    the identity).
     """
     found = {bits: tuple(gens)}
     frontier = [bits]
     conjugators = [(g, G.conj_perm(g)) for g in dict.fromkeys(G.gen_ids)]
+    if schreier is not None:
+        mt, n, inv = G.mul_table, G.n, G.inv
+        u = {bits: 0}
     while frontier:
         nxt = []
         for b in frontier:
@@ -284,8 +285,26 @@ def _conjugacy_class(G: GroupTable, bits: int, gens=()) -> dict[int, tuple[int, 
                 if c not in found:
                     found[c] = tuple(map(perm.__getitem__, found[b]))
                     nxt.append(c)
+                    if schreier is not None:
+                        u[c] = mt[g * n + u[b]]
+                elif schreier is not None:
+                    schreier.append(mt[inv[u[c]] * n + mt[g * n + u[b]]])
         frontier = nxt
     return found
+
+
+def _class_and_normaliser(
+    G: GroupTable, bits: int, gens
+) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
+    """H's conjugacy class, as ``_conjugacy_class`` gives it, and generators of N_G(H).
+
+    The Schreier elements of the class BFS generate N_G(H).  Those inside H
+    are generated by ``gens``, so ``gens`` and the distinct Schreier elements
+    outside H generate it too: no element of G is tested, and no join taken.
+    """
+    schreier: list[int] = []
+    cls = _conjugacy_class(G, bits, gens, schreier)
+    return cls, tuple(gens) + tuple(x for x in dict.fromkeys(schreier) if not bits >> x & 1)
 
 
 def core(G: GroupTable, H: Subgroup) -> Subgroup:
@@ -384,7 +403,10 @@ def all_subgroups(
     conjugacy class is joined with the atoms, and a new class enters whole:
     if H = R^g, then <H, C> is conjugate to the join <R, C^(g^-1)>.  For n in
     N_G(R) the join <R, C^n> is <R, C>^n, so R is joined with the first atom
-    of each N_G(R)-orbit only.  Raises OrderCapExceeded once more than
+    of each N_G(R)-orbit only.  The generators of N_G(R) come from the
+    Schreier elements of R's class BFS (``_class_and_normaliser``), and each
+    orbit is a BFS of atoms over them, one conjugation per atom and
+    generator.  Raises OrderCapExceeded once more than
     ``max_subgroups`` are known (lattice explosion guard), and
     TimeBudgetExceeded when ``time.monotonic()`` passes ``deadline`` at the
     start of a representative's joins; either way it caches nothing.
@@ -396,11 +418,12 @@ def all_subgroups(
         return cached
     G.require_dense()
     subs: dict[int, tuple[int, ...]] = {1: ()}
-    reps: list[tuple[int, tuple[int, ...]]] = []
+    reps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
 
     def add_class(bits, gens):
-        subs.update(_conjugacy_class(G, bits, gens))
-        reps.append((bits, gens))
+        cls, norm_gens = _class_and_normaliser(G, bits, gens)
+        subs.update(cls)
+        reps.append((bits, gens, norm_gens))
         if len(subs) > max_subgroups:
             raise OrderCapExceeded(
                 f"subgroup count passed the cap {max_subgroups} (group of order {G.n})"
@@ -416,6 +439,7 @@ def all_subgroups(
                 atom_of[x] = k
         if bits not in subs:
             add_class(bits, (gen,))
+    mt, n, inv = G.mul_table, G.n, G.inv
     head = 0
     while head < len(reps):
         if deadline is not None and time.monotonic() > deadline:
@@ -423,15 +447,22 @@ def all_subgroups(
                 f"lattice enumeration passed its deadline after joining {head} class "
                 f"representatives (group of order {G.n})"
             )
-        h_bits, h_gens = reps[head]
+        h_bits, h_gens, norm_gens = reps[head]
         head += 1
-        norm = normaliser_ids(G, h_bits, h_gens)
+        conjugators = [(g * n, inv[g]) for g in norm_gens]
         joined = bytearray(len(atoms))  # atoms in the N_G(R)-orbit of a joined one
         for k, (c_bits, _, c_gen) in enumerate(atoms):
             if joined[k] or c_bits & h_bits == c_bits:
                 continue
-            for g in norm:
-                joined[atom_of[G.conjugate(g, c_gen)]] = 1
+            # the N_G(R)-orbit of atom k, by a BFS over N_G(R)'s generators
+            joined[k] = 1
+            orbit = [c_gen]
+            for x in orbit:
+                for gn, gi in conjugators:
+                    y = mt[mt[gn + x] * n + gi]
+                    if not joined[atom_of[y]]:
+                        joined[atom_of[y]] = 1
+                        orbit.append(y)
             j = join_bits(G, h_bits, (c_gen,), base_gens=h_gens)
             if j not in subs:
                 add_class(j, h_gens + (c_gen,))

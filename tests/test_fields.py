@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from ingleton.errors import NotPrimePower
+from ingleton.errors import BadParams, NotPrimePower
 from ingleton.fields import FieldTable, field_create, factor_prime_power
 
 
@@ -32,6 +32,18 @@ def test_primitive_element():
     assert F4.element_order(F4.zeta) == 3
     F9 = field_create(9)
     assert F9.element_order(F9.zeta) == 8
+
+
+@pytest.mark.parametrize("a", [-1, 5, 7])
+def test_element_order_rejects_elements_outside_the_field(a):
+    # -1 used to loop forever and 7 to raise IndexError; q = 5 has elements 0..4
+    with pytest.raises(BadParams):
+        field_create(5).element_order(a)
+
+
+def test_element_order_of_zero():
+    with pytest.raises(ZeroDivisionError):
+        field_create(5).element_order(0)
 
 
 def test_not_prime_power():

@@ -307,6 +307,14 @@ def test_cli_catalogue_unknown_subset(capsys):
     capsys.readouterr()
 
 
+def test_cli_catalogue_nan_budget_is_a_usage_error(capsys):
+    # as with search, a NaN budget stops the run before any entry, not one FAIL per entry
+    assert run_cli("catalogue", "standard", "--budget", "nan") == 2
+    captured = capsys.readouterr()
+    assert "NaN" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.slow
 def test_cli_catalogue_standard(capsys):
     assert run_cli("catalogue", "standard") == 0

@@ -7,13 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from ingleton.engine import Quadruple, ingleton_terms
 from ingleton.errors import BadParams, TimeBudgetExceeded
-from ingleton.groups import build_group, closure_ids, perm_spec
+from ingleton.groups import bits_to_ids, build_group, closure_ids, perm_spec
 from ingleton.records import class_size, read_records, rebuild_quadruple
 from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
-    _lattice_classes,
+    _offending_h4,
     _orbit_of,
     _pair_tables,
     canonical_class,
@@ -253,21 +253,63 @@ def test_pair_tables_match_pairwise_definitions(spec):
     # partner filters.  A mask that is too large only slows the search, so
     # the search's output cannot catch one.
     G = build_group(spec)
-    subs, has, conj = lattice_tables(G)
-    rep, _, via = _lattice_classes(conj)
+    subs, has, _ = lattice_tables(G)
     S = len(subs)
     meet = [[(a.bits & b.bits).bit_count() for b in subs] for a in subs]
     apart = [[meet[i][j] not in (subs[i].order, subs[j].order) for j in range(S)] for i in range(S)]
     for f_contain in (True, False):
         for f_meets in (True, False):
-            itab, apart_mask, meets_mask = _pair_tables(G, subs, has, conj, rep, via, f_contain, f_meets)
-            assert [list(row) for row in itab] == meet
+            apart_mask, meets_mask, levels = _pair_tables(subs, has, f_contain, f_meets)
             for i in range(S):
                 want_apart = [apart[i][j] or not f_contain for j in range(S)]
                 want_meets = [want_apart[j] and (meet[i][j] > 1 or not f_meets) for j in range(S)]
                 assert [bool(apart_mask[i] >> j & 1) for j in range(S)] == want_apart
                 assert [bool(meets_mask[i] >> j & 1) for j in range(S)] == want_meets
                 assert apart_mask[i] >> S == meets_mask[i] >> S == 0
+                # one level per order > 1 of a subgroup of Hi, ascending, each
+                # the set of the k with |Hi ^ Hk| >= w
+                inside = {K.order for K in subs if K.order > 1 and subs[i].contains(K)}
+                assert [w for w, _ in levels[i]] == sorted(inside)
+                for w, ge in levels[i]:
+                    assert [bool(ge >> k & 1) for k in range(S)] == [meet[i][k] >= w for k in range(S)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 5), product(named("alt", 4), named("alt", 4)), RELABELLED_S5],
+    ids=["S5", "A4xA4", "S5-relabelled"],
+)
+@pytest.mark.parametrize("disable", [(), ("all",)], ids=["filters", "no-filter-all"])
+def test_offending_h4_sets_are_exact(monkeypatch, spec, disable):
+    # the search hands every bit of m4 to handle_hit without a comparison, so
+    # m4 must be exactly the offending H4 of its H3: for each (H1, H2) the
+    # search reaches, the (H3, H4) of every visited H3 and its m4 must be the
+    # pairs of candidates, H4 in apart[i3] and i4 >= i3, with P |H34| < t3 t4,
+    # so an H3 left unvisited has no offending H4 either
+    np = pytest.importorskip("numpy")
+    G = build_group(spec)
+    bits = [s.bits for s in all_subgroups(G)]
+    meet = np.array([[(a & b).bit_count() for b in bits] for a in bits], dtype=np.int64)
+    later = np.triu(np.ones(meet.shape, dtype=bool))  # [i3, i4]: i4 >= i3
+    apart_of = {}  # the search passes one apart list
+    pairs = []
+
+    def recording(P, b1, b2, cands, bits, apart, levels):
+        got = dict(_offending_h4(P, b1, b2, cands, bits, apart, levels))
+        ids = bits_to_ids(cands)
+        t = np.array([(b1 & bits[k]).bit_count() * (b2 & bits[k]).bit_count() // (b1 & b2 & bits[k]).bit_count() for k in ids])
+        sub = np.ix_(ids, ids)
+        if id(apart) not in apart_of:
+            apart_of[id(apart)] = np.array([[a >> k & 1 for k in range(len(bits))] for a in apart], dtype=bool)
+        offend = (P * meet[sub] < np.outer(t, t)) & apart_of[id(apart)][sub] & later[sub]
+        want = {(ids[a], ids[b]) for a, b in zip(*np.nonzero(offend))}
+        assert {(i3, i4) for i3, m4 in got.items() for i4 in bits_to_ids(m4)} == want
+        pairs.append(len(want))
+        yield from got.items()
+
+    monkeypatch.setattr("ingleton.search._offending_h4", recording)
+    assert search_offenders(G, SearchOptions(disable_filters=disable))
+    assert sum(pairs) > 0
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,10 @@ import pytest
 
 from ingleton.constructions import dicyclic_spec, expand_named
 from ingleton.errors import OrderCapExceeded, ParentMismatch
-from ingleton.groups import build_group, closure_ids
+from ingleton.groups import bits_to_ids, build_group, closure_ids
 from ingleton.permutations import parse_cycles
 from ingleton.subgroups import (
+    _class_and_normaliser,
     all_subgroups,
     conjugate_bits,
     core,
@@ -22,7 +23,6 @@ from ingleton.subgroups import (
     join_bits,
     least_prime_factor,
     normal_subgroups,
-    normaliser_ids,
     product_set_size,
     subgroup_conjugacy_classes,
     trivial_subgroup,
@@ -327,16 +327,29 @@ def normaliser_order(G, H):
 
 @pytest.mark.parametrize(
     "spec",
-    [named("sym", 4), named("alt", 5), named("sym", 5), named("psl2", 7)],
-    ids=["S4", "A5", "S5", "PSL2(7)"],
+    [
+        named("sym", 4),
+        named("alt", 5),
+        named("sym", 5),
+        named("psl2", 7),
+        named("wreath2", "alt", 4),
+        relabelled(expand_named("sym", (5,)), (2, 4, 0, 3, 1)),
+    ],
+    ids=["S4", "A5", "S5", "PSL2(7)", "A4wr2", "S5-relabelled"],
 )
-def test_normaliser_ids_is_the_stabiliser_under_conjugation(spec):
+def test_normaliser_from_schreier_elements_is_the_stabiliser(spec):
+    # all_subgroups marks atom orbits under N_G(R) by conjugating with R's
+    # generators and the Schreier elements of R's class BFS outside R; check
+    # that they generate the stabiliser under conjugation, of order
+    # |G| / |class|, at the representative and at a second member
     G = build_group(spec)
     for cls in subgroup_conjugacy_classes(G, all_subgroups(G)):
         for H in cls[:2]:
-            norm = normaliser_ids(G, H.bits, H.gens)
-            assert norm == [g for g in range(G.n) if conjugate_bits(G, H.bits, g) == H.bits]
-            assert len(norm) == normaliser_order(G, H)
+            conjugates, norm_gens = _class_and_normaliser(G, H.bits, H.gens)
+            assert set(conjugates) == {K.bits for K in cls}
+            stabiliser = [g for g in range(G.n) if conjugate_bits(G, H.bits, g) == H.bits]
+            assert bits_to_ids(closure_ids(G, norm_gens)) == stabiliser
+            assert len(stabiliser) == G.n // len(cls)
 
 
 @pytest.mark.parametrize(
