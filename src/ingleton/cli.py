@@ -151,13 +151,14 @@ def cmd_verify(args) -> int:
     line_numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
     checked = 0
     bad = 0
+    groups: dict = {}  # each distinct group spec of the file is built once
     for n, record in zip(line_numbers, read_records(lines)):
         # a line that is not an object (or not JSON) is checked, so
         # verify_record reports it
         if isinstance(record, dict) and record.get("type") not in ("offender-class", "quadruple"):
             continue
         checked += 1
-        mismatches = verify_record(record, cap=args.cap)
+        mismatches = verify_record(record, cap=args.cap, groups=groups)
         if mismatches:
             bad += 1
             for m in mismatches:

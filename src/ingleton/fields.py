@@ -5,6 +5,12 @@ Field elements are integers in [0, q) encoding polynomial coefficients base p
 the field is built modulo the lexicographically least irreducible monic
 polynomial of degree k, found by brute force; this fixes the element encoding
 and makes every construction reproducible.
+
+Addition and multiplication are tabulated once per field.  ``mat_mul`` reads
+the tables as one row list per left operand, so a 3x3 product is 27 products
+and 18 sums, each one list index, with no method calls; it is the inner step
+of every matrix-group build.  ``mat_det`` and ``mat_inv`` go through the
+scalar methods, as a build calls them on the generators only.
 """
 
 from __future__ import annotations
@@ -125,6 +131,9 @@ class FieldTable:
                 mul[a * q + b] = undigits(prod)
         self._add = add
         self._mul = mul
+        # one list per left operand, so mat_mul reads x*y as _mul_rows[x][y]
+        self._add_rows = [add[a * q : a * q + q] for a in range(q)]
+        self._mul_rows = [mul[a * q : a * q + q] for a in range(q)]
         self.neg = [0] * q
         for a in range(q):
             for b in range(q):
@@ -155,6 +164,8 @@ class FieldTable:
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
+            if a == 0:
+                raise ZeroDivisionError("0 has no inverse in the field")
             a, e = self.inv[a], -e
         out = 1
         while e:
@@ -187,15 +198,23 @@ class FieldTable:
     # 3x3 matrices, row-major tuples
 
     def mat_mul(self, a: Mat3, b: Mat3) -> Mat3:
-        mul, add = self.mul, self.add
-        out = []
-        for i in (0, 3, 6):
-            for j in (0, 1, 2):
-                s = mul(a[i], b[j])
-                s = add(s, mul(a[i + 1], b[j + 3]))
-                s = add(s, mul(a[i + 2], b[j + 6]))
-                out.append(s)
-        return tuple(out)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+        A, M = self._add_rows, self._mul_rows
+        r0, r1, r2 = M[a0], M[a1], M[a2]
+        r3, r4, r5 = M[a3], M[a4], M[a5]
+        r6, r7, r8 = M[a6], M[a7], M[a8]
+        return (
+            A[A[r0[b0]][r1[b3]]][r2[b6]],
+            A[A[r0[b1]][r1[b4]]][r2[b7]],
+            A[A[r0[b2]][r1[b5]]][r2[b8]],
+            A[A[r3[b0]][r4[b3]]][r5[b6]],
+            A[A[r3[b1]][r4[b4]]][r5[b7]],
+            A[A[r3[b2]][r4[b5]]][r5[b8]],
+            A[A[r6[b0]][r7[b3]]][r8[b6]],
+            A[A[r6[b1]][r7[b4]]][r8[b7]],
+            A[A[r6[b2]][r7[b5]]][r8[b8]],
+        )
 
     def mat_det(self, m: Mat3) -> int:
         mul, sub, add = self.mul, self.sub, self.add

@@ -2,10 +2,14 @@
 
 A group is closed over its generators by breadth-first search with a fixed
 generator order, so element ids are stable across runs and platforms: the
-identity is always element 0 and the rest follow in discovery order.  Groups
-within the default order cap carry a flat n*n multiplication table; larger
-builds (raised order cap) fall back to multiplying concrete elements on
-demand, which is all the matrix-family verification needs.
+identity is always element 0 and the rest follow in discovery order.  Each
+element other than the identity is its BFS parent times one generator, and
+that tree gives every inverse with one concrete product per element.  Groups
+within the default order cap carry a flat n*n multiplication table, filled a
+row at a time by reading the parent's row through one generator's column
+(an ``itemgetter`` call per row); larger builds (raised order cap) fall back
+to multiplying concrete elements on demand, which is all the matrix-family
+verification needs.
 
 Every element remembers a word in the spec's generators, so subgroups can be
 serialized as generator words and re-verified later without reference to the
@@ -17,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Union
 
 from . import permutations as perms
@@ -371,24 +376,31 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
     n = len(elems)
     gen_ids = [ids[g] for g in gens]
 
+    # Inverses from the BFS tree: e_i = e_p*g_k, so e_i^-1 = g_k^-1 * e_p^-1,
+    # one concrete product per element; inverse_c runs on the generators only.
+    # Parents precede their children, so inv[p] is known when i is reached.
+    gen_invs = [inverse_c(g) for g in gens]
+    inv = [0] * n
+    for i in range(1, n):
+        p, k = parent[i]
+        inv[i] = ids[mul_c(gen_invs[k], elems[inv[p]])]
+
+    mul_table = None
     if n <= DEFAULT_ORDER_CAP:
         # Left-multiplication columns L_k let the table be filled a row at a
         # time with no further concrete products: e_i = e_p*g_k, so
-        # e_i*e_j = e_p*(g_k*e_j) and row i is row p read through L_k.  Each
-        # row is written in place, so the n*n list is the only table built.
-        lcols = [[ids[mul_c(g, e)] for e in elems] for g in gens]
+        # e_i*e_j = e_p*(g_k*e_j) and row i is row p read through L_k, one
+        # itemgetter call per row.  Each row is written in place, so the n*n
+        # list is the only table built.  For n == 1 an itemgetter of one
+        # index would return a scalar, but the trivial group has no row to
+        # fill, so it is never called.
+        lcols = [itemgetter(*[ids[mul_c(g, e)] for e in elems]) for g in gens]
         mul_table = [0] * (n * n)
         mul_table[:n] = range(n)
         for i in range(1, n):
             p, k = parent[i]
-            mul_table[i * n : i * n + n] = map(mul_table[p * n : p * n + n].__getitem__, lcols[k])
-        inv = [0] * n
-        for a in range(n):
-            inv[a] = mul_table[a * n : a * n + n].index(0)
-        return GroupTable(spec, n, gen_ids, words, label_c, mul_table, inv, mul_c, elems, ids)
-
-    inv = [ids[inverse_c(e)] for e in elems]
-    return GroupTable(spec, n, gen_ids, words, label_c, None, inv, mul_c, elems, ids)
+            mul_table[i * n : i * n + n] = lcols[k](mul_table[p * n : p * n + n])
+    return GroupTable(spec, n, gen_ids, words, label_c, mul_table, inv, mul_c, elems, ids)
 
 
 def _build_permutation(spec: PermutationGenerators, cap: int) -> GroupTable:

@@ -21,7 +21,7 @@ def identity_perm(degree: int) -> tuple[int, ...]:
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """Product p*q acting as 'apply p, then q' (right action)."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple(map(q.__getitem__, p))
 
 
 def invert(p: tuple[int, ...]) -> tuple[int, ...]:

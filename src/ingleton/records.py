@@ -6,9 +6,10 @@ as generator words plus its order, the eleven term orders, exact lhs/rhs as
 decimal strings, the reduced ratio, the score, and classification flags.
 
 ``verify_record`` rebuilds the group and the subgroups from the record alone
-and recomputes every field.  The class size is recomputed by orbit–stabiliser
-(``class_size``), from the rebuilt subgroups' generators, so it shares no code
-with the search's conjugation table or canonical form.
+and recomputes every field; a caller verifying many records can pass a dict
+that keeps each distinct group spec's build.  The class size is recomputed by
+orbit–stabiliser (``class_size``), from the rebuilt subgroups' generators, so
+it shares no code with the search's conjugation table or canonical form.
 """
 
 from __future__ import annotations
@@ -100,11 +101,21 @@ def class_size(Q: Quadruple) -> int:
     return 4 * G.n // stabiliser
 
 
-def rebuild_quadruple(record: dict, cap: int | None = None) -> Quadruple:
-    """Reconstruct the quadruple from a record's group spec and generator words."""
-    spec = spec_from_json(record["group"])
-    kwargs = {} if cap is None else {"cap": cap}
-    G = build_group(spec, **kwargs)
+def rebuild_quadruple(record: dict, cap: int | None = None, groups: dict | None = None) -> Quadruple:
+    """Reconstruct the quadruple from a record's group spec and generator words.
+
+    ``groups``, when given, maps a spec's ``sort_keys`` JSON to its built
+    group: a spec built once is reused for every later record that names it.
+    A build that raises leaves nothing in the dict.
+    """
+    key = None if groups is None else json.dumps(record["group"], sort_keys=True)
+    G = None if key is None else groups.get(key)
+    if G is None:
+        spec = spec_from_json(record["group"])
+        kwargs = {} if cap is None else {"cap": cap}
+        G = build_group(spec, **kwargs)
+        if key is not None:
+            groups[key] = G
     subs = []
     entries = record["subgroups"]
     if len(entries) != 4:
@@ -128,10 +139,12 @@ class InvalidLine(str):
     """A line ``read_records`` could not parse; holds the decoder's message."""
 
 
-def verify_record(record: dict, cap: int | None = None) -> list[str]:
+def verify_record(record: dict, cap: int | None = None, groups: dict | None = None) -> list[str]:
     """Recompute the full report from generator words; return all mismatches.
 
-    A malformed record yields mismatches, never an exception.
+    A malformed record yields mismatches, never an exception.  ``groups`` is
+    passed to ``rebuild_quadruple``, so records of one file can share their
+    group builds.
     """
     if isinstance(record, InvalidLine):
         return [f"not valid JSON: {record}"]
@@ -139,7 +152,7 @@ def verify_record(record: dict, cap: int | None = None) -> list[str]:
         return [f"record is not a JSON object: {record!r}"]
     mismatches: list[str] = []
     try:
-        Q = rebuild_quadruple(record, cap=cap)
+        Q = rebuild_quadruple(record, cap=cap, groups=groups)
     except Exception as exc:  # unparseable spec or words: report, don't crash
         return [f"rebuild failed: {exc}"]
     G = Q.group

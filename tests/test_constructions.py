@@ -99,7 +99,7 @@ def test_family_small_fields():
     assert rep.small_field_warning
 
 
-@pytest.mark.parametrize("q", [4, 5, 7])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_family_clauses_and_ratio(q):
     fq = supersoluble_family(q)
     rep = verify_family(fq)

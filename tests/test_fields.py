@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,3 +98,29 @@ def test_mat_mul_associativity_sampled():
     ]
     for a, b, c in itertools.product(mats, repeat=3):
         assert F.mat_mul(F.mat_mul(a, b), c) == F.mat_mul(a, F.mat_mul(b, c))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27, 64])
+def test_mat_mul_matches_the_definition(q):
+    # mat_mul reads row lists of the add and mul tables; compare each entry
+    # with the sum of products written with the field's own add and mul
+    F = field_create(q)
+    rng = random.Random(q)
+    for _ in range(50):
+        a = tuple(rng.randrange(q) for _ in range(9))
+        b = tuple(rng.randrange(q) for _ in range(9))
+        c = F.mat_mul(a, b)
+        for i in range(3):
+            for j in range(3):
+                s = 0
+                for k in range(3):
+                    s = F.add(s, F.mul(a[3 * i + k], b[3 * k + j]))
+                assert c[3 * i + j] == s
+
+
+def test_pow_of_zero_to_a_negative_power():
+    # like div(a, 0): 0 has no inverse, so a negative power must raise
+    F = field_create(5)
+    assert F.pow(2, -1) == F.inv[2] == 3
+    with pytest.raises(ZeroDivisionError):
+        F.pow(0, -1)

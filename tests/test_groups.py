@@ -23,7 +23,7 @@ from ingleton.groups import (
     spec_from_json,
     spec_to_json,
 )
-from ingleton.permutations import format_cycles, parse_cycles, split_generator_list
+from ingleton.permutations import compose, format_cycles, parse_cycles, split_generator_list
 from ingleton.subgroups import (
     generated_subgroup,
     normal_subgroups,
@@ -42,6 +42,14 @@ def test_cycle_parse_format_roundtrip():
         parse_cycles("(1,2,2)")
     with pytest.raises(BadParams):
         parse_cycles("(1,2)(2,3)")
+
+
+def test_compose_applies_the_left_factor_first():
+    # right action: 1 -> 2 under (1,2), then 2 -> 3 under (1,2,3).  The group
+    # built is the same up to isomorphism either way, so nothing else checks it
+    p, q = parse_cycles("(1,2)", 3), parse_cycles("(1,2,3)", 3)
+    assert format_cycles(compose(p, q)) == "(1,3)"
+    assert format_cycles(compose(q, p)) == "(2,3)"
 
 
 def test_split_generator_list():
@@ -110,8 +118,9 @@ def _s4_x_c3_mod_v4():
         lambda: build_group(product(named("alt", 4), named("dihedral", 4))),
         _s4_x_c3_mod_v4,
         lambda: build_group(named("wreath2", "alt", 4)),
+        lambda: build_group(perm_spec(["()"], 1)),  # one generator, no row to fill
     ],
-    ids=["S4", "family-q4", "A4xD8", "S4xC3/V4", "A4wr2"],
+    ids=["S4", "family-q4", "A4xD8", "S4xC3/V4", "A4wr2", "C1"],
 )
 def test_dense_table_matches_concrete_products(make):
     # the table is filled by composing rows; every entry must be the id of
@@ -123,6 +132,21 @@ def test_dense_table_matches_concrete_products(make):
         ea = elems[a]
         assert mt[a * n : a * n + n] == [ids[mul_c(ea, eb)] for eb in elems]
         assert mt[a * n + G.inv[a]] == 0 == mt[G.inv[a] * n + a]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9])
+def test_sparse_inverses_are_two_sided(q):
+    # past the order cap there is no table: inv comes from the BFS tree alone,
+    # so check every element against its concrete matrix product (q = 8, 9
+    # are prime powers)
+    from ingleton.fields import MAT3_IDENTITY, field_create
+
+    G = supersoluble_family(q).group
+    assert G.mul_table is None
+    mat_mul, elems = field_create(q).mat_mul, G._elems
+    for a in range(G.n):
+        ea, eb = elems[a], elems[G.inv[a]]
+        assert mat_mul(ea, eb) == MAT3_IDENTITY == mat_mul(eb, ea)
 
 
 def test_invalid_permutation_generator():

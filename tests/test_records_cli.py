@@ -284,6 +284,34 @@ def test_cli_verify_reports_file_lines_past_blank_lines(tmp_path, capsys):
     assert "verified 2 record(s); 1 mismatching" in captured.out
 
 
+def test_cli_verify_builds_each_group_spec_once(tmp_path, capsys, monkeypatch):
+    # records naming one spec share its build; a build that fails is reported
+    # as before and not kept, so the next record naming that spec rebuilds it
+    from ingleton import records
+
+    line = SHIPPED_EXAMPLE.read_text(encoding="utf-8").strip()
+    record = json.loads(line)
+    tampered = json.dumps({**record, "lhs": "1"})
+    too_big = json.dumps({**record, "group": {"variant": "named", "name": "sym", "params": [7]}})
+    text = f"{line}\n{line[:40]}\n{tampered}\n{too_big}\n{too_big}\n"
+    expected = [
+        f"line {n}: {m}"
+        for n, r in enumerate(read_records(text.splitlines()), start=1)
+        for m in verify_record(r)
+    ]
+    built = []
+    build_group = records.build_group
+    monkeypatch.setattr(records, "build_group", lambda spec, **kw: built.append(spec) or build_group(spec, **kw))
+    records_file = tmp_path / "shared.jsonl"
+    records_file.write_text(text)
+    assert run_cli("verify", str(records_file)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == expected
+    assert [m.split(":")[0] for m in expected] == ["line 2", "line 3", "line 4", "line 5"]
+    assert "verified 5 record(s); 4 mismatching" in captured.out
+    assert len(built) == 3  # the shared spec once, the failing spec at each of its lines
+
+
 def test_cli_verify_missing_file(capsys):
     assert run_cli("verify", "/nonexistent/records.jsonl") == 2
     capsys.readouterr()
