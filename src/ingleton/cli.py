@@ -38,15 +38,15 @@ def _parse_named(text: str):
     for factor in factors:
         tokens = factor.split(":")
         name = tokens[0]
-        if name == "wreath2":
-            if len(tokens) < 2:
-                raise BadParams("wreath2 needs an inner constructor, e.g. wreath2:alt:4")
-            params: tuple = (tokens[1], *(int(t) for t in tokens[2:]))
-        else:
-            try:
+        try:
+            if name == "wreath2":
+                if len(tokens) < 2:
+                    raise BadParams("wreath2 needs an inner constructor, e.g. wreath2:alt:4")
+                params: tuple = (tokens[1], *(int(t) for t in tokens[2:]))
+            else:
                 params = tuple(int(t) for t in tokens[1:])
-            except ValueError:
-                raise BadParams(f"non-integer parameter in {factor!r}") from None
+        except ValueError:
+            raise BadParams(f"non-integer parameter in {factor!r}") from None
         specs.append(construct_named(name, params))
     spec = specs[0]
     for s in specs[1:]:
@@ -95,10 +95,10 @@ def cmd_search(args) -> int:
             max_subgroups=args.max_subgroups,
             time_budget=args.budget,
         )
-    except IngletonError as exc:
+        stream, close = _open_out(args.out)
+    except (IngletonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    stream, close = _open_out(args.out)
     started = time.monotonic()
     code = EXIT_OK
     try:
@@ -125,10 +125,10 @@ def cmd_family(args) -> int:
     try:
         fq = supersoluble_family(args.q, allow_small=args.allow_small, zeta=args.zeta)
         report = verify_family(fq, strict=False)
-    except IngletonError as exc:
+        stream, close = _open_out(args.out)
+    except (IngletonError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    stream, close = _open_out(args.out)
     try:
         json.dump(report.to_json(), stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -144,7 +144,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # read_records skips blank lines, so the file line of each record is counted here

@@ -11,9 +11,10 @@ row at a time by reading the parent's row through one generator's column
 to multiplying concrete elements on demand, which is all the matrix-family
 verification needs.
 
-Every element remembers a word in the spec's generators, so subgroups can be
-serialized as generator words and re-verified later without reference to the
-internal ids of any particular run.
+The BFS tree also spells every element as a word in the spec's generators,
+read off the parent pointers on demand, so subgroups can be serialized as
+generator words and re-verified later without reference to the internal ids
+of any particular run.
 """
 
 from __future__ import annotations
@@ -199,12 +200,12 @@ def parse_word(text: str) -> tuple[int, ...]:
 class GroupTable:
     """Immutable multiplication structure over element ids 0..n-1."""
 
-    def __init__(self, spec, n, gen_ids, words, label_c, mul_table, inv, mul_c, elems, ids):
+    def __init__(self, spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids):
         self.spec = spec
         self.n = n
         self.identity = 0
         self.gen_ids = tuple(gen_ids)
-        self.words = words
+        self._parent = parent  # BFS tree: e_i = e_p * g_k for (p, k) = parent[i]
         self._label_c = label_c
         self.mul_table = mul_table  # flat n*n list, or None for sparse groups
         self.inv = inv
@@ -224,9 +225,6 @@ class GroupTable:
             return self.mul_table[a * self.n + b]
         return self._ids[self._mul_c(self._elems[a], self._elems[b])]
 
-    def inverse(self, a: int) -> int:
-        return self.inv[a]
-
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
         return self.mul(self.mul(g, x), self.inv[g])
@@ -238,8 +236,16 @@ class GroupTable:
                 f"{DEFAULT_ORDER_CAP}); this operation needs it"
             )
 
+    def word(self, elem: int) -> tuple[int, ...]:
+        """The generator-index word of an element: its path from the root of the BFS tree."""
+        out = []
+        while elem:
+            elem, k = self._parent[elem]
+            out.append(k)
+        return tuple(reversed(out))
+
     def word_str(self, elem: int) -> str:
-        return format_word(self.words[elem])
+        return format_word(self.word(elem))
 
     def eval_word(self, word) -> int:
         if isinstance(word, str):
@@ -251,18 +257,22 @@ class GroupTable:
             x = self.mul(x, self.gen_ids[k])
         return x
 
-    def element_orders(self) -> list[int]:
-        orders = self._cache.get("element_orders")
-        if orders is None:
-            orders = [1] * self.n
+    def cyclic_subgroups(self) -> list[int]:
+        """``cyc[a]``: the membership bitset of the cyclic subgroup <a>, cached."""
+        cyc = self._cache.get("cyclic_subgroups")
+        if cyc is None:
+            cyc = [1] * self.n
             for a in range(1, self.n):
-                x, m = a, 1
+                bits, x = 1, a
                 while x != 0:
+                    bits |= 1 << x
                     x = self.mul(x, a)
-                    m += 1
-                orders[a] = m
-            self._cache["element_orders"] = orders
-        return orders
+                cyc[a] = bits
+            self._cache["cyclic_subgroups"] = cyc
+        return cyc
+
+    def element_orders(self) -> list[int]:
+        return [b.bit_count() for b in self.cyclic_subgroups()]
 
     def conj_perm(self, g: int) -> list[int]:
         """The permutation x -> g*x*g^-1 of element ids, cached per g."""
@@ -319,18 +329,71 @@ def bits_to_ids(bits: int) -> list[int]:
     return out
 
 
+def least_prime_factor(n: int) -> int:
+    """The least prime dividing n (n itself for n = 1)."""
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 1
+    return n
+
+
+def join_bits(G: GroupTable, base_bits: int, gens, base_gens) -> int:
+    """Membership of <H, gens> given a subgroup H, its generators and extra elements.
+
+    Grows a union of right cosets H*y along the Schreier graph: one table
+    lookup per edge, and each coset is filled exactly once.  The edge labels
+    must generate the join together with H, so H's generators ``base_gens``
+    are added (pass ``base_gens=()`` when H is normal in the join, where
+    H * <gens> is already the whole join).  A group without a table closes
+    generators instead, and then needs H's generators either way.
+
+    The growth stops by Lagrange: the join's index divides [G:H], so once
+    the cosets cover more than |G|/p elements, with p the least prime factor
+    of [G:H], that index is below p and hence 1, and the join is G.
+    """
+    if G.mul_table is None:
+        return closure_ids(G, [*(base_gens or generating_set(G, base_bits)), *gens])
+    mt, n = G.mul_table, G.n
+    members = bits_to_ids(base_bits)
+    size = order = len(members)
+    limit = n // least_prime_factor(n // order)
+    edge_gens = [g for g in dict.fromkeys(tuple(base_gens) + tuple(gens)) if g]
+    covered = base_bits | 1
+    reps = [0]
+    head = 0
+    while head < len(reps):
+        rn = reps[head] * n
+        head += 1
+        for g in edge_gens:
+            y = mt[rn + g]
+            if not (covered >> y) & 1:
+                cos = 0
+                for h in members:
+                    cos |= 1 << mt[h * n + y]
+                cos |= 1 << y
+                covered |= cos
+                size += order
+                if size > limit:
+                    return (1 << n) - 1
+                reps.append(y)
+    return covered
+
+
 def generating_set(G: GroupTable, bits: int) -> tuple[int, ...]:
     """A small generating set for the subgroup with this membership bitset.
 
-    Greedy: walk members in id order, keeping each element not yet generated.
-    Deterministic, and short (at most log2 of the order) in practice.
+    Greedy: walk members in id order, keeping each element not yet generated
+    and joining it to what the kept ones generate.  Deterministic, and short
+    (at most log2 of the order) in practice.
     """
     gens: list[int] = []
     cur = 1
     for x in bits_to_ids(bits):
         if x and not (cur >> x) & 1:
+            cur = join_bits(G, cur, (x,), gens)
             gens.append(x)
-            cur = closure_ids(G, gens)
             if cur == bits:
                 break
     return tuple(gens)
@@ -357,7 +420,6 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
     ids = {identity: 0}
     elems = [identity]
     parent = [(-1, -1)]
-    words: list[tuple[int, ...]] = [()]
     head = 0
     while head < len(elems):
         cur = elems[head]
@@ -367,7 +429,6 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
                 ids[z] = len(elems)
                 elems.append(z)
                 parent.append((head, k))
-                words.append(words[head] + (k,))
                 if len(elems) > cap:
                     raise OrderCapExceeded(
                         f"group closure passed the order cap {cap}; raise the cap to allow this build"
@@ -400,7 +461,7 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
         for i in range(1, n):
             p, k = parent[i]
             mul_table[i * n : i * n + n] = lcols[k](mul_table[p * n : p * n + n])
-    return GroupTable(spec, n, gen_ids, words, label_c, mul_table, inv, mul_c, elems, ids)
+    return GroupTable(spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids)
 
 
 def _build_permutation(spec: PermutationGenerators, cap: int) -> GroupTable:

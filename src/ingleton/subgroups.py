@@ -16,12 +16,14 @@ same class BFS by orbit-stabiliser, with no scan over G: the BFS keeps a
 transversal and, for each edge that reaches a conjugate already found, a
 Schreier element fixing R.  By Schreier's lemma these generate N_G(R), so
 the atoms' N_G(R)-orbits are a BFS over R's generators and the Schreier
-elements outside R.  A join grows a union
-of right cosets along the Schreier graph, about one table lookup per element
-of the result, and stops by Lagrange's theorem as soon as the cosets cover
-more than |G|/p elements, p the least prime factor of [G:H]: most joins of
-a lattice are G, and those stop about halfway.  ``conjugation_table`` then
-permutes lattice indices by conjugation, reading each generator's row off
+elements outside R.  A join (``groups.join_bits``, which also builds
+generating sets) grows a union of right cosets along the Schreier graph,
+about one table lookup per element of the result, and stops by Lagrange's
+theorem as soon as the cosets cover more than |G|/p elements, p the least
+prime factor of [G:H]: most joins of a lattice are G, and those stop about
+halfway.  Normal subgroups are the joins of the normal closures of element
+classes, closed in one pass.  ``conjugation_table`` then permutes lattice
+indices by conjugation, reading each generator's row off
 ``membership_masks`` of the lattice, which must be sorted by order: its
 orbits are the subgroup classes and its fixed points the normal subgroups,
 which ``subgroup_conjugacy_classes`` and ``is_normal`` find independently
@@ -36,7 +38,7 @@ from functools import reduce
 from operator import and_, itemgetter
 
 from .errors import OrderCapExceeded, ParentMismatch, TimeBudgetExceeded
-from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits
+from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits, join_bits, least_prime_factor
 
 DEFAULT_SUBGROUP_CAP = 20000
 
@@ -113,60 +115,6 @@ def product_set_size(A: Subgroup, B: Subgroup) -> int:
     size, rem = divmod(A.order * B.order, meet)
     assert rem == 0
     return size
-
-
-def least_prime_factor(n: int) -> int:
-    """The least prime dividing n (n itself for n = 1)."""
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 1
-    return n
-
-
-def join_bits(G: GroupTable, base_bits: int, gens, base_gens=None) -> int:
-    """Membership of <H, gens> given a subgroup H and extra generating elements.
-
-    Grows a union of right cosets H*y along the Schreier graph: one table
-    lookup per edge, and each coset is filled exactly once.  The edge labels
-    must generate the join together with H, so H's own generators are added
-    unless supplied (pass ``base_gens=()`` when H is normal in the join,
-    where H * <gens> is already the whole join).  A group without a table
-    closes generators instead, and then needs H's generators either way.
-
-    The growth stops by Lagrange: the join's index divides [G:H], so once
-    the cosets cover more than |G|/p elements, with p the least prime factor
-    of [G:H], that index is below p and hence 1, and the join is G.
-    """
-    if G.mul_table is None:
-        return closure_ids(G, [*(base_gens or generating_set(G, base_bits)), *gens])
-    if base_gens is None:
-        base_gens = generating_set(G, base_bits)
-    mt, n = G.mul_table, G.n
-    members = bits_to_ids(base_bits)
-    size = order = len(members)
-    limit = n // least_prime_factor(n // order)
-    edge_gens = [g for g in dict.fromkeys(tuple(base_gens) + tuple(gens)) if g]
-    covered = base_bits | 1
-    reps = [0]
-    head = 0
-    while head < len(reps):
-        rn = reps[head] * n
-        head += 1
-        for g in edge_gens:
-            y = mt[rn + g]
-            if not (covered >> y) & 1:
-                cos = 0
-                for h in members:
-                    cos |= 1 << mt[h * n + y]
-                cos |= 1 << y
-                covered |= cos
-                size += order
-                if size > limit:
-                    return (1 << n) - 1
-                reps.append(y)
-    return covered
 
 
 def join(A: Subgroup, B: Subgroup) -> Subgroup:
@@ -319,30 +267,30 @@ def core(G: GroupTable, H: Subgroup) -> Subgroup:
 
 def element_conjugacy_classes(G: GroupTable) -> list[list[int]]:
     """Element conjugacy classes as sorted ids: the classes of singleton bitsets."""
-    classes = G._cache.get("element_classes")
-    if classes is None:
-        assigned = bytearray(G.n)
-        classes = []
-        for a in range(G.n):
-            if not assigned[a]:
-                cls = sorted(b.bit_length() - 1 for b in _conjugacy_class(G, 1 << a))
-                for x in cls:
-                    assigned[x] = 1
-                classes.append(cls)
-        G._cache["element_classes"] = classes
+    assigned = bytearray(G.n)
+    classes = []
+    for a in range(G.n):
+        if not assigned[a]:
+            cls = sorted(b.bit_length() - 1 for b in _conjugacy_class(G, 1 << a))
+            for x in cls:
+                assigned[x] = 1
+            classes.append(cls)
     return classes
 
 
 def normal_subgroups(G: GroupTable) -> list[Subgroup]:
-    """All normal subgroups, as the join-closure of single-class normal closures.
+    """All normal subgroups, as the joins of the normal closures of element classes.
 
-    This never enumerates the full subgroup lattice, so quotient and
-    indomitability checks stay cheap even when the lattice is large.
+    Every normal subgroup is the join of the class closures inside it, so the
+    closures are joined in one pass: each new closure b enters with its join
+    with every normal subgroup found so far, and after k closures the set
+    holds the join of every subset of them.  This never enumerates the full
+    subgroup lattice, so quotient and indomitability checks stay cheap even
+    when the lattice is large.
     """
     cached = G._cache.get("normal_subgroups")
     if cached is None:
-        seeds = []
-        seen = {1}
+        normals = {1}
         for cls in element_conjugacy_classes(G):
             # grow the closure by cosets, adding a member as a generator only
             # when it is not yet inside: most of a class is reached for free
@@ -351,23 +299,12 @@ def normal_subgroups(G: GroupTable) -> list[Subgroup]:
                 if not b >> x & 1:
                     b = join_bits(G, b, (x,), base_gens=gens)
                     gens.append(x)
-            if b not in seen:
-                seen.add(b)
-                seeds.append(b)
-        normals = {1} | set(seeds)
-        worklist = list(seeds)
-        while worklist:
-            nxt = []
-            for a in worklist:
-                for b in sorted(normals):
-                    if a | b in (a, b):
-                        continue
-                    # a is normal, so a * <gens of b> is already the join
-                    j = join_bits(G, a, generating_set(G, b), base_gens=())
-                    if j not in normals:
-                        normals.add(j)
-                        nxt.append(j)
-            worklist = nxt
+            if b in normals:
+                continue  # the joins are closed under joining
+            # a is normal, so a * <gens of b> is already the join
+            normals |= {b} | {
+                join_bits(G, a, gens, base_gens=()) for a in normals if a | b not in (a, b)
+            }
         cached = [Subgroup(G, b) for b in sorted(normals, key=lambda b: (b.bit_count(), b))]
         G._cache["normal_subgroups"] = cached
     return cached
@@ -377,16 +314,11 @@ def cyclic_atoms(G: GroupTable) -> list[tuple[int, int, int]]:
     """Distinct nontrivial cyclic subgroups as (bits, order, generator id)."""
     atoms = G._cache.get("cyclic_atoms")
     if atoms is None:
-        seen = {}
-        for a in range(1, G.n):
-            bits = 1
-            x = a
-            while x != 0:
-                bits |= 1 << x
-                x = G.mul(x, a)
-            if bits not in seen:
-                seen[bits] = (bits.bit_count(), a)
-        atoms = [(b, o, g) for b, (o, g) in seen.items()]
+        first: dict[int, int] = {}
+        for a, bits in enumerate(G.cyclic_subgroups()):
+            if a:
+                first.setdefault(bits, a)
+        atoms = [(b, b.bit_count(), a) for b, a in first.items()]
         atoms.sort(key=lambda t: (t[1], t[0]))
         G._cache["cyclic_atoms"] = atoms
     return atoms
@@ -431,12 +363,9 @@ def all_subgroups(
 
     atoms = cyclic_atoms(G)
     # atom_of[x]: the index of the atom that element x generates
-    element_orders = G.element_orders()
-    atom_of = [0] * G.n
-    for k, (bits, order, gen) in enumerate(atoms):
-        for x in bits_to_ids(bits):
-            if element_orders[x] == order:
-                atom_of[x] = k
+    index = {bits: k for k, (bits, _, _) in enumerate(atoms)}
+    atom_of = [index.get(bits, 0) for bits in G.cyclic_subgroups()]
+    for bits, _, gen in atoms:
         if bits not in subs:
             add_class(bits, (gen,))
     mt, n, inv = G.mul_table, G.n, G.inv
@@ -508,8 +437,8 @@ def image_subgroup(projection: Projection, H: Subgroup) -> Subgroup:
 
 
 def is_cyclic(H: Subgroup) -> bool:
-    orders = H.parent.element_orders()
-    return any(orders[x] == H.order for x in H.member_ids())
+    cyc = H.parent.cyclic_subgroups()
+    return any(cyc[x] == H.bits for x in H.member_ids())
 
 
 def is_prime_power(n: int) -> bool:

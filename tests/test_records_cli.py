@@ -161,6 +161,27 @@ def test_cli_search_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("named", ["wreath2:alt:x", "wreath2:alt:4:y", "sym:x"])
+def test_cli_search_non_integer_parameter_is_a_usage_error(capsys, named):
+    assert run_cli("search", "--named", named) == 2
+    assert "error: non-integer parameter" in capsys.readouterr().err
+
+
+def test_cli_search_unwritable_out_fails_before_searching(tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran before --out was opened")
+
+    monkeypatch.setattr("ingleton.cli.search_offenders", no_search)
+    assert run_cli("search", "--named", "sym:4", "--out", str(tmp_path / "no" / "x.jsonl")) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_family_unwritable_out(tmp_path, capsys):
+    assert run_cli("family", "4", "--out", str(tmp_path / "no" / "x.json")) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
 def test_cli_search_nan_budget_is_a_usage_error(capsys):
     assert run_cli("search", "--named", "sym:4", "--budget", "nan") == 2
     assert "NaN" in capsys.readouterr().err
@@ -315,6 +336,13 @@ def test_cli_verify_builds_each_group_spec_once(tmp_path, capsys, monkeypatch):
 def test_cli_verify_missing_file(capsys):
     assert run_cli("verify", "/nonexistent/records.jsonl") == 2
     capsys.readouterr()
+
+
+def test_cli_verify_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b"\xff\xfe" + SHIPPED_EXAMPLE.read_bytes())
+    assert run_cli("verify", str(path)) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_cli_search_a5_empty(capsys):

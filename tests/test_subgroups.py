@@ -4,7 +4,7 @@ import pytest
 
 from ingleton.constructions import dicyclic_spec, expand_named
 from ingleton.errors import OrderCapExceeded, ParentMismatch
-from ingleton.groups import bits_to_ids, build_group, closure_ids
+from ingleton.groups import bits_to_ids, build_group, closure_ids, generating_set
 from ingleton.permutations import parse_cycles
 from ingleton.subgroups import (
     _class_and_normaliser,
@@ -194,8 +194,12 @@ def test_normal_subgroups_examples():
         named("psl2", 7),
         product(named("alt", 4), named("alt", 4)),
         named("wreath2", "alt", 4),
+        # abelian, so every subgroup is normal: most are joins of three or
+        # more class closures, which joining only pairs of closures misses
+        cyclic_product(2, 2, 2, 2),
+        cyclic_product(3, 3, 2),
     ],
-    ids=["S4", "A5", "S5", "PSL2(7)", "A4xA4", "A4wr2"],
+    ids=["S4", "A5", "S5", "PSL2(7)", "A4xA4", "A4wr2", "C2^4", "C3xC3xC2"],
 )
 def test_normal_subgroups_are_the_normal_members_of_the_lattice(spec):
     # normal_subgroups never enumerates the lattice, so the two sides are independent
@@ -315,6 +319,66 @@ def test_join_bits_stops_by_lagrange(monkeypatch):
     assert join_bits(G, H.bits, (c,), base_gens=H.gens) == (1 << G.n) - 1
     reads = table.reads
     assert reads < 2 * H.order
+
+
+def restart_greedy_generating_set(G, bits):
+    """The greedy generating set, closing the kept elements from scratch each time."""
+    gens, cur = [], 1
+    for x in bits_to_ids(bits):
+        if x and not (cur >> x) & 1:
+            gens.append(x)
+            cur = closure_ids(G, gens)
+            if cur == bits:
+                break
+    return tuple(gens)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        named("sym", 4),
+        named("alt", 5),
+        named("psl2", 7),
+        named("wreath2", "alt", 4),
+        relabelled(expand_named("sym", (5,)), (2, 4, 0, 3, 1)),
+    ],
+    ids=["S4", "A5", "PSL2(7)", "A4wr2", "S5-relabelled"],
+)
+def test_generating_set_matches_restart_greedy(spec):
+    # generating_set joins each kept element to what the earlier ones
+    # generate; it must keep the same elements as closing them from scratch,
+    # since records spell subgroups by these generators' words
+    G = build_group(spec)
+    for H in all_subgroups(G):
+        gens = generating_set(G, H.bits)
+        assert gens == restart_greedy_generating_set(G, H.bits)
+        assert closure_ids(G, gens) == H.bits
+
+
+def test_generating_set_of_a_sparse_group(monkeypatch):
+    from ingleton import groups
+
+    spec = product(named("alt", 4), named("alt", 4))
+    dense = build_group(spec)
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+    G = build_group(spec)
+    assert G.mul_table is None
+    for H in all_subgroups(dense):
+        assert generating_set(G, H.bits) == restart_greedy_generating_set(dense, H.bits)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize(
+    "spec", [named("sym", 4), named("wreath2", "alt", 4)], ids=["S4", "A4wr2"]
+)
+def test_cyclic_subgroups_are_the_closures_of_single_elements(spec, sparse, monkeypatch):
+    from ingleton import groups
+
+    if sparse:
+        monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+    G = build_group(spec)
+    assert (G.mul_table is None) == sparse
+    assert G.cyclic_subgroups() == [closure_ids(G, [a]) for a in range(G.n)]
 
 
 def test_least_prime_factor():
