@@ -56,6 +56,7 @@ from .constructions import (
     dicyclic_spec,
     example_3xpsl27,
     metacyclic_spec,
+    parse_named,
     supersoluble_family,
     verify_family,
 )

@@ -18,10 +18,10 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .constructions import construct_named, supersoluble_family, verify_family
+from .constructions import parse_named, supersoluble_family, verify_family
 from .engine import evaluate
 from .errors import IngletonError, TimeBudgetExceeded
-from .groups import GroupSpec, build_group
+from .groups import build_group
 from .search import DEFAULT_TIME_BUDGET, SearchOptions, search_offenders
 
 SCORE_TOLERANCE = 5e-5
@@ -32,24 +32,13 @@ class CatalogueEntry:
     name: str
     kind: str  # "search" | "family" | "negative"
     expected_order: int
-    spec: GroupSpec | None = None
+    named: str | None = None  # the group in the --named grammar, for search and negative rows
     family_q: int | None = None
     expected_offender: bool = True
     expected_ratios: tuple[Fraction, ...] = ()
     expected_scores: tuple[float, ...] = ()
     expected_classes: int | None = None
     assert_classes: bool = False
-
-
-def _named(name, *params):
-    return construct_named(name, params)
-
-
-def _product(*specs):
-    spec = specs[0]
-    for s in specs[1:]:
-        spec = construct_named("direct_product", (spec, s))
-    return spec
 
 
 def _fr(num, den):
@@ -62,7 +51,7 @@ def _fr(num, den):
 _S5 = CatalogueEntry(
     name="S5",
     kind="search",
-    spec=_named("sym", 5),
+    named="sym:5",
     expected_order=120,
     expected_ratios=_fr(16, 15),
     expected_scores=(0.01348,),
@@ -72,7 +61,7 @@ _S5 = CatalogueEntry(
 _A4A4 = CatalogueEntry(
     name="A4xA4",
     kind="search",
-    spec=_product(_named("alt", 4), _named("alt", 4)),
+    named="alt:4*alt:4",
     expected_order=144,
     expected_ratios=_fr(9, 8),
     expected_scores=(0.02370,),
@@ -90,7 +79,7 @@ _BOREL192 = CatalogueEntry(
 _A4S4 = CatalogueEntry(
     name="A4xS4",
     kind="search",
-    spec=_product(_named("alt", 4), _named("sym", 4)),
+    named="alt:4*sym:4",
     expected_order=288,
     expected_ratios=_fr(9, 8),
     expected_scores=(0.02080,),
@@ -100,7 +89,7 @@ _A4S4 = CatalogueEntry(
 _A4WR2 = CatalogueEntry(
     name="A4wr2",
     kind="search",
-    spec=_named("wreath2", "alt", 4),
+    named="wreath2:alt:4",
     expected_order=288,
     expected_ratios=_fr(9, 8),
     expected_scores=(0.02080, 0.02370),  # published: 0.02080 six times, 0.02370 once
@@ -110,7 +99,7 @@ _A4WR2 = CatalogueEntry(
 _PGL27 = CatalogueEntry(
     name="PGL2(7)",
     kind="search",
-    spec=_named("pgl2", 7),
+    named="pgl2:7",
     expected_order=336,
     expected_ratios=_fr(8, 7),
     expected_scores=(0.02295,),
@@ -120,7 +109,7 @@ _PGL27 = CatalogueEntry(
 _A6 = CatalogueEntry(
     name="A6",
     kind="search",
-    spec=_named("alt", 6),
+    named="alt:6",
     expected_order=360,
     expected_ratios=(Fraction(9, 8), Fraction(16, 15)),
     expected_scores=(0.02001, 0.02268, 0.01096, 0.01348),
@@ -130,7 +119,7 @@ _A6 = CatalogueEntry(
 _GL25 = CatalogueEntry(
     name="GL2(5)",
     kind="search",
-    spec=_named("gl2", 5),
+    named="gl2:5",
     expected_order=480,
     expected_ratios=_fr(16, 15),
     expected_scores=(0.01045,),
@@ -148,7 +137,7 @@ _FAMILY500 = CatalogueEntry(
 _PSL28 = CatalogueEntry(
     name="PSL2(8)",
     kind="search",
-    spec=_named("psl2", 8),
+    named="psl2:8",
     expected_order=504,
     expected_ratios=_fr(7, 6),
     expected_scores=(0.02477,),
@@ -158,7 +147,7 @@ _PSL28 = CatalogueEntry(
 _3PSL27 = CatalogueEntry(
     name="3xPSL2(7)",
     kind="search",
-    spec=_product(_named("cyclic", 3), _named("psl2", 7)),
+    named="cyclic:3*psl2:7",
     expected_order=504,
     expected_ratios=_fr(9, 8),
     expected_scores=(0.01892,),
@@ -167,26 +156,26 @@ _3PSL27 = CatalogueEntry(
 )
 
 
-def _negative(name, spec, order):
+def _negative(name, named, order):
     # derived negative controls: orders below the least published violator,
     # abelian groups, dihedral/metacyclic samples
     return CatalogueEntry(
         name=name,
         kind="negative",
-        spec=spec,
+        named=named,
         expected_order=order,
         expected_offender=False,
     )
 
 
 _NEGATIVES_FAST = (
-    _negative("A4", _named("alt", 4), 12),
-    _negative("S4", _named("sym", 4), 24),
-    _negative("SL2(3)", _named("sl2", 3), 24),
-    _negative("A5", _named("alt", 5), 60),
-    _negative("D48", _named("dihedral", 24), 48),
-    _negative("C24", _named("cyclic", 24), 24),
-    _negative("C2^4", _product(*(_named("cyclic", 2) for _ in range(4))), 16),
+    _negative("A4", "alt:4", 12),
+    _negative("S4", "sym:4", 24),
+    _negative("SL2(3)", "sl2:3", 24),
+    _negative("A5", "alt:5", 60),
+    _negative("D48", "dihedral:24", 48),
+    _negative("C24", "cyclic:24", 24),
+    _negative("C2^4", "cyclic:2*cyclic:2*cyclic:2*cyclic:2", 16),
 )
 
 FAST_ENTRIES = (_S5, _A4A4, _BOREL192) + _NEGATIVES_FAST
@@ -221,83 +210,76 @@ def _match_scores(observed: set[float], expected: tuple[float, ...]) -> bool:
     return True
 
 
+def _observe_family(q: int) -> dict:
+    report = verify_family(supersoluble_family(q), strict=False)
+    return {
+        "order": report.order,
+        "offender": report.offender,
+        "ratios": {report.ratio},
+        "scores": {report.score},
+        "clauses_passed": report.all_passed,
+        "failed_clause": next((name for name, ok in report.clauses if not ok), None),
+    }
+
+
+def _observe_search(named: str, budget: float | None) -> dict:
+    G = build_group(parse_named(named))
+    opts = SearchOptions(time_budget=budget if budget is not None else DEFAULT_TIME_BUDGET)
+    classes = search_offenders(G, opts)
+    reports = [
+        evaluate(c.representative, with_generative=True, with_irreducible=True, with_indomitable=True)
+        for c in classes
+    ]
+    indomitable = [r for r in reports if r.indomitable]
+    return {
+        "order": G.n,
+        "offender": bool(classes),
+        "ratios": {r.ratio for r in indomitable},
+        "scores": {r.score for r in indomitable},
+        "classes": len(indomitable),
+        "generative_classes": len(classes),
+    }
+
+
+def _braced(values, fmt=str) -> str:
+    return "{" + ", ".join(fmt(v) for v in sorted(values)) + "}"
+
+
+def _mismatches(entry: CatalogueEntry, obs: dict) -> list[str]:
+    """Every way the observation differs from the row, most basic first."""
+    failures = []
+    if obs.get("failed_clause"):
+        failures.append(f"clause: {obs['failed_clause']} failed")
+    if obs["order"] != entry.expected_order:
+        failures.append(f"order: expected {entry.expected_order}, got {obs['order']}")
+    if obs["offender"] != entry.expected_offender:
+        failures.append(f"offender: expected {entry.expected_offender}, got {obs['offender']}")
+    if entry.expected_offender:
+        if obs["ratios"] != set(entry.expected_ratios):
+            failures.append(f"ratios: expected {_braced(set(entry.expected_ratios))}, got {_braced(obs['ratios'])}")
+        if not _match_scores(obs["scores"], entry.expected_scores):
+            score = "{:.5f}".format
+            failures.append(
+                f"scores: expected {_braced(set(entry.expected_scores), score)}, "
+                f"got {_braced(obs['scores'], score)}"
+            )
+        if entry.assert_classes and obs["classes"] != entry.expected_classes:
+            failures.append(f"classes: expected {entry.expected_classes}, got {obs['classes']}")
+    return failures
+
+
 def run_entry(entry: CatalogueEntry, budget: float | None = None) -> EntryResult:
     started = time.monotonic()
-    failures: list[str] = []
-    observed: dict = {}
     try:
         if entry.kind == "family":
-            fq = supersoluble_family(entry.family_q)
-            report = verify_family(fq, strict=False)
-            observed = {
-                "order": report.order,
-                "ratios": {report.ratio},
-                "scores": {round(report.score, 5)},
-                "offender": report.offender,
-                "clauses_passed": report.all_passed,
-            }
-            if not report.all_passed:
-                failed = [name for name, ok in report.clauses if not ok][0]
-                failures.append(f"clause: {failed} failed")
-            if report.order != entry.expected_order:
-                failures.append(f"order: expected {entry.expected_order}, got {report.order}")
-            if report.offender != entry.expected_offender:
-                failures.append(f"offender: expected {entry.expected_offender}, got {report.offender}")
-            if {report.ratio} != set(entry.expected_ratios):
-                failures.append(f"ratio: expected {entry.expected_ratios[0]}, got {report.ratio}")
-            if not _match_scores({report.score}, entry.expected_scores):
-                failures.append(f"score: expected {entry.expected_scores[0]}, got {report.score:.5f}")
+            observed = _observe_family(entry.family_q)
         else:
-            cap = max(2048, entry.expected_order)
-            G = build_group(entry.spec, cap=cap)
-            observed["order"] = G.n
-            if G.n != entry.expected_order:
-                failures.append(f"order: expected {entry.expected_order}, got {G.n}")
-            opts = SearchOptions(time_budget=budget if budget is not None else DEFAULT_TIME_BUDGET)
-            classes = search_offenders(G, opts)
-            indomitable = []
-            for c in classes:
-                rep = evaluate(
-                    c.representative,
-                    with_generative=True,
-                    with_irreducible=True,
-                    with_indomitable=True,
-                )
-                if rep.indomitable:
-                    indomitable.append(rep)
-            ratios = {r.ratio for r in indomitable}
-            scores = {r.score for r in indomitable}
-            observed.update(
-                {
-                    "classes": len(indomitable),
-                    "generative_classes": len(classes),
-                    "ratios": ratios,
-                    "scores": {round(s, 5) for s in scores},
-                }
-            )
-            has_offender = bool(classes)
-            if has_offender != entry.expected_offender:
-                failures.append(
-                    f"offender: expected {entry.expected_offender}, got {has_offender}"
-                )
-            if entry.expected_offender and not failures:
-                if ratios != set(entry.expected_ratios):
-                    failures.append(
-                        f"ratios: expected {sorted(set(entry.expected_ratios))}, got {sorted(ratios)}"
-                    )
-                elif not _match_scores(scores, entry.expected_scores):
-                    failures.append(
-                        f"scores: expected {sorted(set(entry.expected_scores))}, "
-                        f"got {sorted(round(s, 5) for s in scores)}"
-                    )
-                elif entry.assert_classes and len(indomitable) != entry.expected_classes:
-                    failures.append(
-                        f"classes: expected {entry.expected_classes}, got {len(indomitable)}"
-                    )
+            observed = _observe_search(entry.named, budget)
+        failures = _mismatches(entry, observed)
     except TimeBudgetExceeded as exc:
-        failures.append(f"budget: {exc}")
+        observed, failures = {}, [f"budget: {exc}"]
     except IngletonError as exc:
-        failures.append(f"error: {exc}")
+        observed, failures = {}, [f"error: {exc}"]
     return EntryResult(entry, not failures, failures, observed, time.monotonic() - started)
 
 
@@ -326,7 +308,7 @@ def run_catalogue(subset: str, stream, budget: float | None = None):
                 f" indomitable={obs.get('classes', '?')}"
                 + (f" (published {entry.expected_classes})" if entry.expected_classes else "")
                 + f" generative={obs.get('generative_classes', '?')}"
-                + f" ratios={{{', '.join(str(r) for r in sorted(obs.get('ratios', set())))}}}"
+                + f" ratios={_braced(obs.get('ratios', ()))}"
             )
         stream.write(f"{status} {entry.name}: {detail} [{result.elapsed:.1f}s]\n")
         if not result.passed:

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .catalogue import SUBSETS, run_catalogue
-from .constructions import construct_named, supersoluble_family, verify_family
+from .constructions import parse_named, supersoluble_family, verify_family
 from .errors import BadParams, IngletonError, TimeBudgetExceeded
 from .groups import DEFAULT_ORDER_CAP, build_group, matrix_spec, perm_spec
 from .permutations import split_generator_list
@@ -27,31 +27,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-def _parse_named(text: str):
-    """Parse 'name:p1:p2', with 'a*b' for direct products and wreath2:name:params."""
-    factors = [p.strip() for p in text.split("*") if p.strip()]
-    if not factors:
-        raise BadParams(f"empty group name {text!r}")
-    specs = []
-    for factor in factors:
-        tokens = factor.split(":")
-        name = tokens[0]
-        try:
-            if name == "wreath2":
-                if len(tokens) < 2:
-                    raise BadParams("wreath2 needs an inner constructor, e.g. wreath2:alt:4")
-                params: tuple = (tokens[1], *(int(t) for t in tokens[2:]))
-            else:
-                params = tuple(int(t) for t in tokens[1:])
-        except ValueError:
-            raise BadParams(f"non-integer parameter in {factor!r}") from None
-        specs.append(construct_named(name, params))
-    spec = specs[0]
-    for s in specs[1:]:
-        spec = construct_named("direct_product", (spec, s))
-    return spec
 
 
 def _parse_matrix(text: str):
@@ -72,7 +47,7 @@ def _group_spec_from_args(args):
     if len(sources) != 1:
         raise BadParams("exactly one of --named, --perm, --matrix is required")
     if args.named is not None:
-        return _parse_named(args.named)
+        return parse_named(args.named)
     if args.perm is not None:
         return perm_spec(split_generator_list(args.perm))
     return _parse_matrix(args.matrix)
@@ -85,20 +60,15 @@ def _open_out(path):
 
 
 def cmd_search(args) -> int:
-    try:
-        spec = _group_spec_from_args(args)
-        G = build_group(spec, cap=args.cap)
-        opts = SearchOptions(
-            require=args.require,
-            minimal_mode=args.minimal,
-            disable_filters=tuple(args.no_filter or ()),
-            max_subgroups=args.max_subgroups,
-            time_budget=args.budget,
-        )
-        stream, close = _open_out(args.out)
-    except (IngletonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    G = build_group(_group_spec_from_args(args), cap=args.cap)
+    opts = SearchOptions(
+        require=args.require,
+        minimal_mode=args.minimal,
+        disable_filters=tuple(args.no_filter or ()),
+        max_subgroups=args.max_subgroups,
+        time_budget=args.budget,
+    )
+    stream, close = _open_out(args.out)
     started = time.monotonic()
     code = EXIT_OK
     try:
@@ -110,9 +80,6 @@ def cmd_search(args) -> int:
             classes = exc.partial
             complete = False
             code = EXIT_BUDGET
-        except IngletonError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
         write_records((class_record(c) for c in classes), stream)
         write_records([summary_record(G, classes, complete, time.monotonic() - started)], stream)
     finally:
@@ -122,13 +89,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_family(args) -> int:
-    try:
-        fq = supersoluble_family(args.q, allow_small=args.allow_small, zeta=args.zeta)
-        report = verify_family(fq, strict=False)
-        stream, close = _open_out(args.out)
-    except (IngletonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    fq = supersoluble_family(args.q, allow_small=args.allow_small, zeta=args.zeta)
+    report = verify_family(fq, strict=False)
+    stream, close = _open_out(args.out)
     try:
         json.dump(report.to_json(), stream, indent=2, sort_keys=True)
         stream.write("\n")
@@ -141,12 +104,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.file, "r", encoding="utf-8") as fh:
+        lines = fh.readlines()
     # read_records skips blank lines, so the file line of each record is counted here
     line_numbers = [n for n, line in enumerate(lines, start=1) if line.strip()]
     checked = 0
@@ -171,11 +130,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_catalogue(args) -> int:
-    try:
-        ok, _ = run_catalogue(args.subset, sys.stdout, budget=args.budget)
-    except IngletonError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    ok, _ = run_catalogue(args.subset, sys.stdout, budget=args.budget)
     return EXIT_OK if ok else EXIT_MISMATCH
 
 
@@ -236,6 +191,10 @@ def main(argv=None) -> int:
         # interpreter exit cannot raise again (the recipe of the signal docs)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_MISMATCH
+    except (IngletonError, OSError, UnicodeDecodeError) as exc:
+        # invalid input, an unwritable --out or an unreadable record file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return code
 
 

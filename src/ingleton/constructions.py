@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from typing import Callable
 
 from . import engine
-from .errors import BadParams, FieldTooSmall, UnknownName, VerificationFailed
-from .fields import FieldTable, Mat3, factor_prime_power, field_create
+from .errors import BadParams, FieldTooSmall, OrderCapExceeded, UnknownName, VerificationFailed
+from .fields import FieldTable, Mat3, field_create
 from .groups import (
     DEFAULT_ORDER_CAP,
     DirectProduct,
@@ -30,20 +32,6 @@ from .groups import (
 )
 from .permutations import parse_cycles
 from .subgroups import Subgroup, generated_subgroup
-
-NAMED_CONSTRUCTORS = (
-    "cyclic",
-    "dihedral",
-    "sym",
-    "alt",
-    "direct_product",
-    "wreath2",
-    "psl2",
-    "pgl2",
-    "gl2",
-    "sl2",
-)
-
 
 # ---------------------------------------------------------------------------
 # Projective and linear permutation actions
@@ -113,81 +101,46 @@ def _linear_spec(q: int, full: bool) -> PermutationGenerators:
 
 
 # ---------------------------------------------------------------------------
-# Named registry
+# Named families
 
 
-def _want_params(name, params, count):
-    if len(params) != count:
-        raise BadParams(f"{name} takes {count} parameter(s), got {len(params)}")
+def _cyclic(n: int) -> PermutationGenerators:
+    if n == 1:
+        return PermutationGenerators(1, ())
+    return PermutationGenerators(n, (tuple(range(1, n)) + (0,),))
 
 
-def expand_named(name: str, params: tuple) -> GroupSpec:
-    """Expand a Named spec into a concrete permutation/matrix/product spec."""
-    if name == "cyclic":
-        _want_params(name, params, 1)
-        n = int(params[0])
-        if n < 1:
-            raise BadParams("cyclic order must be >= 1")
-        if n == 1:
-            return PermutationGenerators(1, ())
-        return PermutationGenerators(n, (tuple(range(1, n)) + (0,),))
-    if name == "dihedral":
-        _want_params(name, params, 1)
-        n = int(params[0])
-        if n < 1:
-            raise BadParams("dihedral parameter must be >= 1 (group order is 2n)")
-        if n == 1:
-            return PermutationGenerators(2, ((1, 0),))
-        if n == 2:
-            return PermutationGenerators(4, ((1, 0, 2, 3), (0, 1, 3, 2)))
-        rot = tuple(range(1, n)) + (0,)
-        refl = tuple((n - i) % n for i in range(n))
-        return PermutationGenerators(n, (rot, refl))
-    if name == "sym":
-        _want_params(name, params, 1)
-        n = int(params[0])
-        if n < 1:
-            raise BadParams("sym parameter must be >= 1")
-        if n == 1:
-            return PermutationGenerators(1, ())
-        if n == 2:
-            return PermutationGenerators(2, ((1, 0),))
-        cycle = tuple(range(1, n)) + (0,)
-        transposition = (1, 0) + tuple(range(2, n))
-        return PermutationGenerators(n, (cycle, transposition))
-    if name == "alt":
-        _want_params(name, params, 1)
-        n = int(params[0])
-        if n < 1:
-            raise BadParams("alt parameter must be >= 1")
-        if n <= 2:
-            return PermutationGenerators(max(n, 1), ())
-        three = (1, 2, 0) + tuple(range(3, n))
-        if n == 3:
-            return PermutationGenerators(3, (three,))
-        if n % 2 == 1:
-            big = tuple(range(1, n)) + (0,)
-        else:
-            big = (0,) + tuple(range(2, n)) + (1,)
-        return PermutationGenerators(n, (three, big))
-    if name in ("psl2", "pgl2"):
-        _want_params(name, params, 1)
-        q = int(params[0])
-        factor_prime_power(q)  # raises NotPrimePower for bad q
-        return _projective_spec(q, full=(name == "pgl2"))
-    if name in ("sl2", "gl2"):
-        _want_params(name, params, 1)
-        q = int(params[0])
-        factor_prime_power(q)
-        return _linear_spec(q, full=(name == "gl2"))
-    if name == "wreath2":
-        if not params:
-            raise BadParams("wreath2 takes an inner named constructor, e.g. ('alt', 4)")
-        inner = expand_named(str(params[0]), tuple(params[1:]))
-        if not isinstance(inner, PermutationGenerators):
-            raise BadParams("wreath2 needs a permutation-realized inner group")
-        return wreath2_spec(inner)
-    raise UnknownName(f"unknown constructor {name!r}; known: {', '.join(NAMED_CONSTRUCTORS)}")
+def _dihedral(n: int) -> PermutationGenerators:
+    if n == 1:
+        return PermutationGenerators(2, ((1, 0),))
+    if n == 2:
+        return PermutationGenerators(4, ((1, 0, 2, 3), (0, 1, 3, 2)))
+    rot = tuple(range(1, n)) + (0,)
+    refl = tuple((n - i) % n for i in range(n))
+    return PermutationGenerators(n, (rot, refl))
+
+
+def _sym(n: int) -> PermutationGenerators:
+    if n == 1:
+        return PermutationGenerators(1, ())
+    if n == 2:
+        return PermutationGenerators(2, ((1, 0),))
+    cycle = tuple(range(1, n)) + (0,)
+    transposition = (1, 0) + tuple(range(2, n))
+    return PermutationGenerators(n, (cycle, transposition))
+
+
+def _alt(n: int) -> PermutationGenerators:
+    if n <= 2:
+        return PermutationGenerators(n, ())
+    three = (1, 2, 0) + tuple(range(3, n))
+    if n == 3:
+        return PermutationGenerators(3, (three,))
+    if n % 2 == 1:
+        big = tuple(range(1, n)) + (0,)
+    else:
+        big = (0,) + tuple(range(2, n)) + (1,)
+    return PermutationGenerators(n, (three, big))
 
 
 def wreath2_spec(inner: PermutationGenerators) -> PermutationGenerators:
@@ -202,21 +155,105 @@ def wreath2_spec(inner: PermutationGenerators) -> PermutationGenerators:
     return PermutationGenerators(2 * d, tuple(gens))
 
 
-def construct_named(name: str, params=()) -> GroupSpec:
-    """Validate and return a spec for a named family.
+def _wreath2(inner: str, *params) -> PermutationGenerators:
+    return wreath2_spec(NAMED_CONSTRUCTORS[inner].build(*params))
 
-    Integer-parameter names return a compact Named spec; direct_product takes
-    two GroupSpec parameters and returns a DirectProduct spec.
+
+@dataclass(frozen=True)
+class _Family:
+    build: Callable[..., PermutationGenerators]  # checked parameters -> generators
+    # A lower bound on the group's order from its one integer parameter;
+    # wreath2, whose parameters name an inner family, has none of its own.
+    least_order: Callable[[int], int] | None = None
+    field_size: bool = False  # the parameter is q, the size of a supported field
+
+
+# The named families.  Each lower bound is the exact order or the number of
+# points the family acts on transitively (a transitive group has at least as
+# many elements as points), so the order cap is checked from the parameter
+# before any generator is built.
+NAMED_CONSTRUCTORS = {
+    "cyclic": _Family(_cyclic, lambda n: n),
+    "dihedral": _Family(_dihedral, lambda n: 2 * n),
+    "sym": _Family(_sym, lambda n: n),
+    "alt": _Family(_alt, lambda n: n if n > 2 else 1),  # A1 and A2 are trivial
+    "wreath2": _Family(_wreath2),
+    "psl2": _Family(partial(_projective_spec, full=False), lambda q: q + 1, field_size=True),
+    "pgl2": _Family(partial(_projective_spec, full=True), lambda q: q + 1, field_size=True),
+    "gl2": _Family(partial(_linear_spec, full=True), lambda q: q * q - 1, field_size=True),
+    "sl2": _Family(partial(_linear_spec, full=False), lambda q: q * q - 1, field_size=True),
+}
+
+
+def _checked(name: str, params, cap: int | None) -> tuple[tuple, int]:
+    """Check a named family's parameters; return them normalised, with a lower
+    bound on the group's order.
+
+    Text tokens and JSON numbers become ints; wreath2's parameters keep the
+    inner family's name first.  A bound past ``cap`` (when given) raises
+    OrderCapExceeded before the field size is checked or a generator built.
     """
-    if name == "direct_product":
-        if len(params) != 2:
-            raise BadParams("direct_product takes two group specs")
-        return DirectProduct(params[0], params[1])
-    if name not in NAMED_CONSTRUCTORS:
+    family = NAMED_CONSTRUCTORS.get(name)
+    if family is None:
         raise UnknownName(f"unknown constructor {name!r}; known: {', '.join(NAMED_CONSTRUCTORS)}")
     params = tuple(params)
-    expand_named(name, params)  # validate eagerly
-    return Named(name, params)
+    if family.least_order is None:
+        if not params:
+            raise BadParams(f"{name} takes an inner named constructor, e.g. {name}:alt:4")
+        inner = str(params[0])
+        inner_params, inner_least = _checked(inner, params[1:], cap)
+        params, least = (inner, *inner_params), 2 * inner_least**2
+    else:
+        try:
+            params = tuple(int(p) for p in params)
+        except (TypeError, ValueError, OverflowError):
+            raise BadParams(f"non-integer parameter in {':'.join(map(str, (name, *params)))}") from None
+        if len(params) != 1:
+            raise BadParams(f"{name} takes one parameter, got {len(params)}")
+        if params[0] < 1:
+            raise BadParams(f"{name} parameter must be >= 1, got {params[0]}")
+        least = family.least_order(params[0])
+    if cap is not None and least > cap:
+        raise OrderCapExceeded(
+            f"{':'.join(map(str, (name, *params)))} has order at least {least}, "
+            f"past the order cap {cap}; raise the cap to allow this build"
+        )
+    if family.field_size:
+        field_create(params[0])  # raises NotPrimePower unless GF(q) is supported
+    return params, least
+
+
+def construct_named(name: str, params=()) -> Named:
+    """Validate a named family's parameters and return its compact spec.
+
+    Builds no generators; the order cap is checked when the spec is built.
+    """
+    return Named(name, _checked(name, params, None)[0])
+
+
+def expand_named(name: str, params: tuple, cap: int = DEFAULT_ORDER_CAP) -> PermutationGenerators:
+    """The generators of a named family, once its parameters pass the check
+    against the order cap."""
+    params, _ = _checked(name, params, cap)
+    return NAMED_CONSTRUCTORS[name].build(*params)
+
+
+def parse_named(text: str) -> GroupSpec:
+    """Parse the ``--named`` grammar into a spec.
+
+    A factor is ``name:p1:...`` with integer parameters, except that wreath2's
+    first parameter is an inner factor's name (``wreath2:alt:4``); factors
+    joined by ``*`` make a direct product, folded from the left.
+    """
+    factors = [f.strip() for f in text.split("*") if f.strip()]
+    if not factors:
+        raise BadParams(f"empty group name {text!r}")
+    spec = None
+    for factor in factors:
+        name, *params = factor.split(":")
+        named = construct_named(name, params)
+        spec = named if spec is None else DirectProduct(spec, named)
+    return spec
 
 
 # ---------------------------------------------------------------------------

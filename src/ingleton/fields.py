@@ -98,9 +98,9 @@ class FieldTable:
     """GF(q) with fully tabulated addition/multiplication and a primitive element."""
 
     def __init__(self, q: int):
-        p, k = factor_prime_power(q)
-        if q > MAX_FIELD:
+        if q > MAX_FIELD:  # checked first: factoring costs O(q)
             raise NotPrimePower(f"field size {q} exceeds supported maximum {MAX_FIELD}")
+        p, k = factor_prime_power(q)
         self.q = q
         self.p = p
         self.k = k

@@ -57,7 +57,7 @@ class MatrixGenerators:
 @dataclass(frozen=True)
 class Named:
     name: str
-    params: tuple[int, ...]
+    params: tuple  # as normalised by the named-family table in constructions
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ def spec_from_json(data: dict) -> GroupSpec:
     if variant == "matrix":
         return matrix_spec(int(data["q"]), data["generators"])
     if variant == "named":
-        # wreath2 params lead with the inner constructor's name, e.g. ["alt", 4]
-        params = tuple(p if isinstance(p, str) else int(p) for p in data["params"])
-        return Named(str(data["name"]), params)
+        from .constructions import construct_named  # registry lives with the constructors
+
+        return construct_named(str(data["name"]), data["params"])
     if variant == "direct_product":
         return DirectProduct(spec_from_json(data["left"]), spec_from_json(data["right"]))
     if variant == "quotient":
@@ -540,7 +540,7 @@ def build_group(spec: GroupSpec, cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if isinstance(spec, Named):
         from .constructions import expand_named  # registry lives with the constructors
 
-        table = build_group(expand_named(spec.name, spec.params), cap=cap)
+        table = build_group(expand_named(spec.name, spec.params, cap), cap=cap)
         table.spec = spec  # keep the compact self-describing form in records
         return table
     raise BadParams(f"cannot build from spec of type {type(spec).__name__}")

@@ -11,7 +11,7 @@ from ingleton.constructions import (
     dicyclic_spec,
     metacyclic_spec,
 )
-from ingleton.groups import PermutationGenerators, build_group
+from ingleton.groups import DirectProduct, PermutationGenerators, build_group
 from ingleton.search import search_offenders
 
 
@@ -22,15 +22,12 @@ def named(name, *params):
 def product(*specs):
     spec = specs[0]
     for s in specs[1:]:
-        spec = construct_named("direct_product", (spec, s))
+        spec = DirectProduct(spec, s)
     return spec
 
 
 def cyclic_product(*orders):
-    spec = named("cyclic", orders[0])
-    for n in orders[1:]:
-        spec = construct_named("direct_product", (spec, named("cyclic", n)))
-    return spec
+    return product(*(named("cyclic", n) for n in orders))
 
 
 def relabelled(spec, sigma):

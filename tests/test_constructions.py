@@ -1,12 +1,15 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from ingleton.constructions import (
+    NAMED_CONSTRUCTORS,
     construct_named,
     dicyclic_spec,
     example_3xpsl27,
     metacyclic_spec,
+    parse_named,
     supersoluble_family,
     verify_family,
 )
@@ -15,50 +18,80 @@ from ingleton.errors import (
     BadParams,
     FieldTooSmall,
     NotPrimePower,
+    OrderCapExceeded,
     UnknownName,
 )
-from ingleton.groups import build_group
+from ingleton.groups import build_group, spec_from_json, spec_to_json
 
 from conftest import named, product
 
 
-@pytest.mark.parametrize(
-    "name,params,order",
-    [
-        ("cyclic", (1,), 1),
-        ("cyclic", (12,), 12),
-        ("dihedral", (2,), 4),
-        ("dihedral", (12,), 24),
-        ("sym", (5,), 120),
-        ("alt", (4,), 12),
-        ("alt", (5,), 60),
-        ("alt", (6,), 360),
-        ("psl2", (5,), 60),
-        ("psl2", (7,), 168),
-        ("psl2", (8,), 504),
-        ("psl2", (9,), 360),
-        ("psl2", (11,), 660),
-        ("pgl2", (5,), 120),
-        ("pgl2", (7,), 336),
-        ("sl2", (3,), 24),
-        ("sl2", (5,), 120),
-        ("gl2", (5,), 480),
-    ],
-)
+NAMED_ORDERS = [
+    ("cyclic", (1,), 1),
+    ("cyclic", (12,), 12),
+    ("dihedral", (2,), 4),
+    ("dihedral", (12,), 24),
+    ("sym", (5,), 120),
+    ("alt", (4,), 12),
+    ("alt", (5,), 60),
+    ("alt", (6,), 360),
+    ("psl2", (5,), 60),
+    ("psl2", (7,), 168),
+    ("psl2", (8,), 504),
+    ("psl2", (9,), 360),
+    ("psl2", (11,), 660),
+    ("pgl2", (5,), 120),
+    ("pgl2", (7,), 336),
+    ("sl2", (3,), 24),
+    ("sl2", (5,), 120),
+    ("gl2", (5,), 480),
+    ("wreath2", ("alt", 4), 288),
+    ("wreath2", ("sym", 3), 72),
+]
+
+
+@pytest.mark.parametrize("name,params,order", NAMED_ORDERS)
 def test_named_orders(name, params, order):
-    G = build_group(construct_named(name, params), cap=2048)
+    # the --named text, construct_named and the JSON round trip give one spec
+    spec = construct_named(name, params)
+    assert parse_named(":".join(map(str, (name, *params)))) == spec
+    assert spec_from_json(spec_to_json(spec)) == spec
+    G = build_group(spec, cap=2048)
     assert G.n == order
+
+
+def test_named_orders_cover_every_family():
+    assert {name for name, _, _ in NAMED_ORDERS} == set(NAMED_CONSTRUCTORS)
 
 
 def test_direct_product_and_wreath_orders():
     assert build_group(product(named("alt", 4), named("alt", 4))).n == 144
     assert build_group(construct_named("wreath2", ("alt", 4))).n == 288
     assert build_group(product(named("cyclic", 3), named("psl2", 7))).n == 504
+    assert parse_named("alt:4*alt:4") == product(named("alt", 4), named("alt", 4))
+    assert parse_named("cyclic:2*cyclic:2*cyclic:2") == product(*(named("cyclic", 2) for _ in range(3)))
+
+
+def test_order_cap_is_checked_before_any_generator_is_built():
+    # a family with a parameter past the cap allocates nothing before raising;
+    # building cyclic:5000 up to the cap took about 80 MiB of tuples
+    tracemalloc.start()
+    try:
+        construct_named("cyclic", (10**6,))  # validated, not built
+        with pytest.raises(OrderCapExceeded):
+            build_group(construct_named("cyclic", (5000,)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert build_group(named("cyclic", 3000), cap=3000).n == 3000
 
 
 def test_unknown_and_bad_params():
     with pytest.raises(UnknownName):
         construct_named("sporadic", (1,))
+    with pytest.raises(UnknownName):  # products come from '*' in the text, or DirectProduct
+        construct_named("direct_product", (named("cyclic", 2), named("cyclic", 2)))
     with pytest.raises(BadParams):
         construct_named("sym", ())
     with pytest.raises(BadParams):

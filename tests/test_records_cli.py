@@ -2,11 +2,14 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ingleton.catalogue import SUBSETS, run_entry
 from ingleton.cli import main
 from ingleton.records import (
     class_record,
@@ -159,9 +162,13 @@ def test_cli_search_usage_errors(capsys):
     # factorized-h12 was removed: it only ever saw passing comparisons, where it never fires
     assert run_cli("search", "--named", "sym:4", "--no-filter", "factorized-h12") == 2
     capsys.readouterr()
+    for text in ("", "*", "sym", "sym:5:6", "sym:-3", "cyclic:0", "psl2:6", "nosuch:3",
+                 "wreath2", "wreath2:alt", "wreath2:nosuch:3"):
+        assert run_cli("search", "--named", text) == 2, text
+        assert capsys.readouterr().err.startswith("error: "), text
 
 
-@pytest.mark.parametrize("named", ["wreath2:alt:x", "wreath2:alt:4:y", "sym:x"])
+@pytest.mark.parametrize("named", ["wreath2:alt:x", "wreath2:alt:4:y", "sym:x", "alt:4*sym:x"])
 def test_cli_search_non_integer_parameter_is_a_usage_error(capsys, named):
     assert run_cli("search", "--named", named) == 2
     assert "error: non-integer parameter" in capsys.readouterr().err
@@ -356,6 +363,29 @@ def test_cli_catalogue_fast(capsys):
     out = capsys.readouterr().out
     assert "all entries passed" in out
     assert "PASS S5" in out
+
+
+BOREL192 = "family-q4 (order-192 Borel)"
+
+
+@pytest.mark.parametrize(
+    "name,changes,budget,first",
+    [
+        pytest.param(BOREL192, {"expected_ratios": (Fraction(1),)}, None, "ratios: expected {1}, got {9/8}",
+                     id="family-ratio"),
+        pytest.param("S5", {"expected_scores": (0.5,)}, None, "scores: expected {0.50000}, got {0.01348}",
+                     id="search-score"),
+        pytest.param("S5", {"expected_order": 121}, None, "order: expected 121, got 120", id="order"),
+        pytest.param("S5", {"kind": "negative", "expected_offender": False}, None,
+                     "offender: expected False, got True", id="negative-s5"),
+        pytest.param("S5", {}, 0, "budget: ", id="budget-0"),
+    ],
+)
+def test_catalogue_row_mismatch_fails(name, changes, budget, first):
+    row = next(e for e in SUBSETS["extended"] if e.name == name)
+    result = run_entry(replace(row, **changes), budget=budget)
+    assert not result.passed
+    assert result.failures[0].startswith(first)
 
 
 def test_cli_catalogue_unknown_subset(capsys):
