@@ -493,7 +493,22 @@ def _build_matrix(spec: MatrixGenerators, cap: int) -> GroupTable:
     )
 
 
+def _least_order(spec: GroupSpec) -> int:
+    """A lower bound on the order of ``spec``'s group, read off its named
+    factors without building any; 1 where a factor has no such bound."""
+    if isinstance(spec, DirectProduct):
+        return _least_order(spec.left) * _least_order(spec.right)
+    if isinstance(spec, Named):
+        from .constructions import _checked  # registry lives with the constructors
+
+        return _checked(spec.name, spec.params, None)[1]
+    return 1
+
+
 def _build_product(spec: DirectProduct, cap: int) -> GroupTable:
+    least = _least_order(spec)
+    if least > cap:
+        raise OrderCapExceeded(f"direct product order at least {least} passes the order cap {cap}")
     left = build_group(spec.left, cap=cap)
     right = build_group(spec.right, cap=cap)
     if left.n * right.n > cap:

@@ -7,7 +7,8 @@ H1 runs over conjugacy-class representatives of the subgroup lattice.  H2
 runs over the subgroups meeting H1 nontrivially whose class comes no earlier
 than H1's (the H1<->H2 swap), and of those over one representative of each
 N_G(H1)-orbit (conjugating by N_G(H1) fixes H1).  H3 runs over the subgroups
-meeting both, and H4 innermost over indices >= H3's (the H3<->H4 swap).
+meeting both, and H4 innermost over those no earlier than H3 in the t-order
+defined below (the H3<->H4 swap).
 Every pruning filter implements a proven exclusion criterion, so disabling
 filters changes runtime, never results.
 
@@ -47,14 +48,28 @@ by |H12||H123||H124| gives
     P |H34| < t3 t4,   P = |H1||H2| / |H12| = |H1H2|,
                        tk = |H1k||H2k| / |H12k| = |H1k H2k|,
 
-exact integers because H1k ^ H2k = H12k.  ``_offending_h4`` computes the row
-``t`` once per (H1, H2) over the H3/H4 candidates and buckets them by their
-t value, so the mask "t above v" is an OR of buckets, built on first use per
-v.  For integers, P w < t3 t4 iff t4 > P w // t3, so the offending H4 of an
-H3 are set algebra on these masks:
+exact integers because H1k ^ H2k = H12k.  No t is computed per candidate.
+Every factor of tk is an intersection order with a lattice member (H1, H2
+and H12 = H1 ^ H2 are all in the lattice), and ``_bands`` turns ``levels[i]``
+into the bands of Hi: one mask per order w of a subgroup of Hi, 1 included,
+holding exactly the k with |Hi ^ Hk| = w.  ``_offending_h4`` ANDs the bands
+of H1, H2 and H12 over the H3/H4 candidates, nested and pruned at each empty
+mask; each nonempty meet of bands w1, w2, w12 is a set of candidates with
+t = w1 w2 / w12, and those sets, merged by t, are the buckets ``by_t``.  The
+mask "t above v" is an OR of buckets, built on first use per v.
 
-- an H3 is visited only if t3 > P // max(t), since |H34| >= 1;
-- its H4 mask starts as the candidates with t4 > P // t3, which is exact
+The H3<->H4 swap is broken by t.  The t-order ranks the candidates by
+falling t, ties by index, and the pair (H3, H4) is visited only with H4 no
+earlier than H3: t4 < t3, or t4 = t3 and i4 >= i3.  It is a total order, so
+each unordered pair is visited exactly once, and the swap is a symmetry of
+the inequality and of every mask, so the other way round finds nothing new.
+An offending pair has t3 t4 > P |H34| >= P, so t4 <= t3 gives t3^2 > P: H3
+is walked bucket by bucket, and a bucket is visited only if t3 > isqrt(P).  For
+integers, P w < t3 t4 iff t4 > P w // t3, so the offending H4 of an H3 are
+set algebra on these masks:
+
+- its H4 mask starts as the candidates in ``apart[i3]`` with
+  P // t3 < t4 < t3, and those of its own bucket from i3 up, which is exact
   for |H34| = 1;
 - for each level (w, ge) of H3, ascending, the members of ``ge`` keep only
   those with t4 > P w // t3.
@@ -74,7 +89,7 @@ import math
 import time
 from array import array
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cache, reduce
 from operator import and_, or_
 
 from .engine import IngletonReport, Quadruple, evaluate
@@ -256,52 +271,84 @@ def _pair_tables(subs: list[Subgroup], has: list[int], f_contain, f_meets):
     return apart, meets, levels
 
 
-def _offending_h4(P: int, b1: int, b2: int, cands: int, bits: list[int], apart: list[int], levels):
-    """Yield ``(i3, m4)`` for each H3 the search visits with H1, H2 = ``b1``, ``b2``.
+def _bands(level, full: int):
+    """The intersection bands of Hi from its ``level`` (``levels[i]``) in a
+    lattice whose mask is ``full``.
 
-    ``P`` is |H1H2| and ``cands`` the mask of the H3/H4 candidates; ``m4``
-    is exactly the mask of the H4 in ``apart[i3]`` with i4 >= i3 that make
-    (H1, H2, H3, H4) offend.  The module docstring gives the rule.
+    One ``(w, mask)`` per order w of a subgroup of Hi, 1 included, ascending,
+    where ``mask`` holds exactly the k with |Hi ^ Hk| == w; the masks
+    partition the lattice.  An intersection order is the order of a subgroup
+    of Hi, so the band of w is the ``ge`` of its level less the ``ge`` of the
+    next, and the band of 1 is what the first ``ge`` leaves out.
     """
-    b12 = b1 & b2
-    # t[k] = |H1k H2k|, and the candidates bucketed by it
-    t = [0] * len(bits)
-    by_t: dict[int, int] = {}
-    m = cands
-    while m:
-        low = m & -m
-        k = low.bit_length() - 1
-        m ^= low
-        bk = bits[k]
-        tk = t[k] = (b1 & bk).bit_count() * (b2 & bk).bit_count() // (b12 & bk).bit_count()
-        by_t[tk] = by_t.get(tk, 0) | low
-    if not by_t:
-        return
-    above: dict[int, int] = {}  # v -> candidates with t > v
+    band, w0, ge0 = [], 1, full
+    for w, ge in level:
+        band.append((w0, ge0 & ~ge))
+        w0, ge0 = w, ge
+    band.append((w0, ge0))
+    return band
 
-    def t_above(v):
-        mask = above.get(v)
-        if mask is None:
-            mask = 0
-            for tk, mk in by_t.items():
-                if tk > v:
-                    mask |= mk
-            above[v] = mask
+
+class _TAbove(dict):
+    """``t_above[v]``: the OR of the buckets of ``by_t`` with t > v, built on
+    first use."""
+
+    def __init__(self, by_t: dict[int, int]):
+        super().__init__()
+        self.by_t = by_t
+
+    def __missing__(self, v: int) -> int:
+        mask = 0
+        for tk, mk in self.by_t.items():
+            if tk > v:
+                mask |= mk
+        self[v] = mask
         return mask
 
-    # an H3 has a partner only if t3 > P // max(t)
-    m3 = t_above(P // max(by_t))
-    while m3:
-        low3 = m3 & -m3
-        i3 = low3.bit_length() - 1
-        m3 ^= low3
-        t3 = t[i3]
-        m4 = (t_above(P // t3) & apart[i3]) >> i3 << i3
-        for w, ge in levels[i3]:
-            if not m4 & ge:
-                break
-            m4 &= ~ge | t_above(P * w // t3)
-        yield i3, m4
+
+def _offending_h4(P: int, cands: int, bands1, bands2, bands12, apart: list[int], levels):
+    """Yield ``(i3, m4)`` for each H3 with an offending H4, for the (H1, H2)
+    whose bands are ``bands1`` and ``bands2``, with H12 = H1 ^ H2's ``bands12``.
+
+    ``P`` is |H1H2| and ``cands`` the mask of the H3/H4 candidates; ``m4``
+    is exactly the mask of the H4 in ``apart[i3]`` that make (H1, H2, H3, H4)
+    offend and have t4 < t3, or t4 == t3 and i4 >= i3.  The module docstring
+    gives the rule.
+    """
+    # the candidates bucketed by t: tk = |H1k||H2k| / |H12k| is one value on
+    # each meet of a band of H1, one of H2 and one of H12
+    by_t: dict[int, int] = {}
+    for w1, m1 in bands1:
+        a = cands & m1
+        if not a:
+            continue
+        for w2, m2 in bands2:
+            b = a & m2
+            if not b:
+                continue
+            for w12, m12 in bands12:
+                c = b & m12
+                if c:
+                    tk = w1 * w2 // w12
+                    by_t[tk] = by_t.get(tk, 0) | c
+    t_above = _TAbove(by_t)
+    root = math.isqrt(P)
+    for t3, bucket in by_t.items():
+        if t3 <= root:  # t3 * t3 <= P: no partner with t4 <= t3
+            continue
+        below = t_above[P // t3] & ~t_above[t3] & ~bucket  # P // t3 < t4 < t3
+        m3 = bucket
+        while m3:
+            low3 = m3 & -m3
+            i3 = low3.bit_length() - 1
+            m4 = (below | m3) & apart[i3]  # m3 holds the bucket from i3 up
+            m3 ^= low3
+            for w, ge in levels[i3]:
+                if not m4 & ge:
+                    break
+                m4 &= ~ge | t_above[P * w // t3]
+            if m4:
+                yield i3, m4
 
 
 def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[OffenderClass]:
@@ -353,6 +400,13 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         if not (f_ppc and cyclic[i] and is_prime_power(orders[i])):
             h34_mask |= 1 << i
     apart, meets, levels = _pair_tables(subs, has, f_contain, f_meets)
+    index_of = {b: i for i, b in enumerate(bits)}
+
+    @cache
+    def bands(i):
+        """The bands of Hi, built on first use: few subgroups are an H1, H2
+        or H12 of a pair the loops reach."""
+        return _bands(levels[i], (1 << S) - 1)
 
     # the subgroups of each order, for the join-order test of product-h1h2
     of_order: dict[int, list[int]] = {}
@@ -408,7 +462,8 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
                 visited[c[i2]] = 1
             check_budget()
             b2 = bits[i2]
-            P = o1 * orders[i2] // (b1 & b2).bit_count()  # |H1H2|
+            i12 = index_of[b1 & b2]
+            P = o1 * orders[i2] // orders[i12]  # |H1H2|
             # the join-order half of product-h1h2: every subgroup above H1 and
             # H2 holds the P elements of H1H2, so H1H2 is a subgroup iff a
             # subgroup of order P contains both
@@ -416,7 +471,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             if f_product and any(u & b == u for b in of_order.get(P, ())):
                 continue
             cands = meets[i1] & meets[i2] & h34_mask
-            for i3, m4 in _offending_h4(P, b1, b2, cands, bits, apart, levels):
+            for i3, m4 in _offending_h4(P, cands, bands(i1), bands(i2), bands(i12), apart, levels):
                 while m4:
                     low4 = m4 & -m4
                     m4 ^= low4

@@ -87,6 +87,18 @@ def test_order_cap_is_checked_before_any_generator_is_built():
     assert build_group(named("cyclic", 3000), cap=3000).n == 3000
 
 
+def test_product_order_cap_is_checked_before_any_factor_is_built(monkeypatch):
+    # each factor fits the cap, their product does not: the product of the
+    # factors' order bounds raises before either factor's group is built
+    def no_build(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr("ingleton.groups._bfs_build", no_build)
+    for text in ("cyclic:2000*cyclic:2000", "sym:4*cyclic:2*cyclic:300"):
+        with pytest.raises(OrderCapExceeded, match="at least"):
+            build_group(parse_named(text))
+
+
 def test_unknown_and_bad_params():
     with pytest.raises(UnknownName):
         construct_named("sporadic", (1,))

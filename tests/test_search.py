@@ -13,6 +13,7 @@ from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
+    _bands,
     _offending_h4,
     _orbit_of,
     _pair_tables,
@@ -272,44 +273,86 @@ def test_pair_tables_match_pairwise_definitions(spec):
                 assert [w for w, _ in levels[i]] == sorted(inside)
                 for w, ge in levels[i]:
                     assert [bool(ge >> k & 1) for k in range(S)] == [meet[i][k] >= w for k in range(S)]
+            # the bands partition the lattice: k is in the band of w iff
+            # |Hi ^ Hk| == w, one band per order of a subgroup of Hi
+            for i, level in enumerate(levels):
+                band = _bands(level, (1 << S) - 1)
+                assert [w for w, _ in band] == sorted({1} | {w for w, _ in level})
+                for w, mask in band:
+                    assert [bool(mask >> k & 1) for k in range(S)] == [meet[i][k] == w for k in range(S)]
+
+
+# (id, spec, whether some offending pair has t3 != t4)
+EXACT_H4_GROUPS = [
+    ("S5", named("sym", 5), False),
+    ("A4xA4", product(named("alt", 4), named("alt", 4)), False),
+    ("S5-relabelled", RELABELLED_S5, False),
+    ("A4wr2", named("wreath2", "alt", 4), True),
+    ("S5xC2", product(named("sym", 5), named("cyclic", 2)), True),
+]
 
 
 @pytest.mark.parametrize(
-    "spec",
-    [named("sym", 5), product(named("alt", 4), named("alt", 4)), RELABELLED_S5],
-    ids=["S5", "A4xA4", "S5-relabelled"],
+    "spec, uneven_pairs, disable",
+    [
+        # with every filter off the candidates are the whole lattice, and the
+        # check costs |lattice|^2 per (H1, H2): 10-45 s on the two larger groups
+        pytest.param(spec, uneven, disable, id=f"{label}-{name}", marks=[pytest.mark.slow] if disable and uneven else [])
+        for label, disable in (("filters", ()), ("no-filter-all", ("all",)))
+        for name, spec, uneven in EXACT_H4_GROUPS
+    ],
 )
-@pytest.mark.parametrize("disable", [(), ("all",)], ids=["filters", "no-filter-all"])
-def test_offending_h4_sets_are_exact(monkeypatch, spec, disable):
+def test_offending_h4_sets_are_exact(monkeypatch, spec, uneven_pairs, disable):
     # the search hands every bit of m4 to handle_hit without a comparison, so
     # m4 must be exactly the offending H4 of its H3: for each (H1, H2) the
-    # search reaches, the (H3, H4) of every visited H3 and its m4 must be the
-    # pairs of candidates, H4 in apart[i3] and i4 >= i3, with P |H34| < t3 t4,
-    # so an H3 left unvisited has no offending H4 either
+    # search reaches, the (H3, H4) of every H3 and its m4 must be the pairs
+    # of candidates, H4 in apart[i3], with P |H34| < t3 t4 and H4 no earlier
+    # than H3 in the t-order (t4 < t3, or t4 == t3 and i4 >= i3), so each
+    # unordered offending pair comes out exactly once.  S5 and A4xA4 have
+    # only pairs with t3 == t4; A4wr2 and S5xC2 have pairs with t3 != t4,
+    # which a swap broken by index alone gets wrong.
     np = pytest.importorskip("numpy")
     G = build_group(spec)
     bits = [s.bits for s in all_subgroups(G)]
     meet = np.array([[(a & b).bit_count() for b in bits] for a in bits], dtype=np.int64)
-    later = np.triu(np.ones(meet.shape, dtype=bool))  # [i3, i4]: i4 >= i3
     apart_of = {}  # the search passes one apart list
     pairs = []
+    uneven = []  # offending pairs with t3 != t4
 
-    def recording(P, b1, b2, cands, bits, apart, levels):
-        got = dict(_offending_h4(P, b1, b2, cands, bits, apart, levels))
-        ids = bits_to_ids(cands)
-        t = np.array([(b1 & bits[k]).bit_count() * (b2 & bits[k]).bit_count() // (b1 & b2 & bits[k]).bit_count() for k in ids])
+    def least_above(bands):
+        # the top band holds the subgroups containing Hi, Hi the least of them
+        top = bands[-1][1]
+        return (top & -top).bit_length() - 1
+
+    def recording(P, cands, bands1, bands2, bands12, apart, levels):
+        got = list(_offending_h4(P, cands, bands1, bands2, bands12, apart, levels))
+        i1, i2, i12 = map(least_above, (bands1, bands2, bands12))
+        assert bits[i12] == bits[i1] & bits[i2]
+        assert P * meet[i12, i12] == meet[i1, i1] * meet[i2, i2]
+        ids = np.array(bits_to_ids(cands))
+        t = meet[i1, ids] * meet[i2, ids] // meet[i12, ids]
         sub = np.ix_(ids, ids)
         if id(apart) not in apart_of:
             apart_of[id(apart)] = np.array([[a >> k & 1 for k in range(len(bits))] for a in apart], dtype=bool)
-        offend = (P * meet[sub] < np.outer(t, t)) & apart_of[id(apart)][sub] & later[sub]
-        want = {(ids[a], ids[b]) for a, b in zip(*np.nonzero(offend))}
-        assert {(i3, i4) for i3, m4 in got.items() for i4 in bits_to_ids(m4)} == want
-        pairs.append(len(want))
-        yield from got.items()
+        offend = (P * meet[sub] < np.outer(t, t)) & apart_of[id(apart)][sub]
+        t3, t4 = t[:, None], t[None, :]
+        t_order = (t4 < t3) | ((t4 == t3) & (ids[None, :] >= ids[:, None]))
+        # emitted[a, b]: how often (H3, H4) = (ids[a], ids[b]) came out
+        emitted = np.zeros(offend.shape, dtype=np.int64)
+        for i3, m4 in got:
+            np.add.at(emitted, (np.searchsorted(ids, i3), np.searchsorted(ids, bits_to_ids(m4))), 1)
+        assert len({i3 for i3, _ in got}) == len(got)
+        assert (emitted == (offend & t_order)).all()
+        # so each unordered offending pair comes out exactly once
+        assert (emitted + emitted.T - np.diag(np.diag(emitted)) == offend).all()
+        pairs.append(int(emitted.sum()))
+        uneven.append(int((offend & (t3 != t4)).sum()))
+        yield from got
 
     monkeypatch.setattr("ingleton.search._offending_h4", recording)
     assert search_offenders(G, SearchOptions(disable_filters=disable))
     assert sum(pairs) > 0
+    assert (sum(uneven) > 0) == uneven_pairs
 
 
 @pytest.mark.parametrize(
