@@ -27,6 +27,7 @@ from .groups import (
     MatrixGenerators,
     Named,
     PermutationGenerators,
+    as_int,
     build_group,
     perm_spec,
 )
@@ -189,7 +190,8 @@ def _checked(name: str, params, cap: int | None) -> tuple[tuple, int]:
     """Check a named family's parameters; return them normalised, with a lower
     bound on the group's order.
 
-    Text tokens and JSON numbers become ints; wreath2's parameters keep the
+    Ints and decimal-digit strings are taken (``groups.as_int``), and nothing
+    else, so a float or a bool raises BadParams; wreath2's parameters keep the
     inner family's name first.  A bound past ``cap`` (when given) raises
     OrderCapExceeded before the field size is checked or a generator built.
     """
@@ -205,8 +207,8 @@ def _checked(name: str, params, cap: int | None) -> tuple[tuple, int]:
         params, least = (inner, *inner_params), 2 * inner_least**2
     else:
         try:
-            params = tuple(int(p) for p in params)
-        except (TypeError, ValueError, OverflowError):
+            params = tuple(as_int(p, "parameter") for p in params)
+        except (BadParams, ValueError):
             raise BadParams(f"non-integer parameter in {':'.join(map(str, (name, *params)))}") from None
         if len(params) != 1:
             raise BadParams(f"{name} takes one parameter, got {len(params)}")

@@ -203,8 +203,8 @@ def is_generative(Q: Quadruple) -> bool:
     full = (1 << G.n) - 1
     if u == full:
         return True
-    gens = Q.h1.gens + Q.h2.gens + Q.h3.gens + Q.h4.gens
-    return closure_ids(G, gens).bit_count() == G.n
+    # one join onto H1, which stops by Lagrange once it must be all of G
+    return join_bits(G, Q.h1.bits, Q.h2.gens + Q.h3.gens + Q.h4.gens, base_gens=Q.h1.gens) == full
 
 
 def is_irreducible(Q: Quadruple) -> bool:

@@ -5,10 +5,12 @@ generator order, so element ids are stable across runs and platforms: the
 identity is always element 0 and the rest follow in discovery order.  Each
 element other than the identity is its BFS parent times one generator, and
 that tree gives every inverse with one concrete product per element.  Groups
-within the default order cap carry a flat n*n multiplication table, filled a
-row at a time by reading the parent's row through one generator's column
-(an ``itemgetter`` call per row); larger builds (raised order cap) fall back
-to multiplying concrete elements on demand, which is all the matrix-family
+within the default order cap carry a multiplication table of n row tuples,
+each filled by reading the parent's row through one generator's
+left-multiplication column (an ``itemgetter`` call per row); the columns
+come from the products the closure already made, so the table costs no
+concrete product.  Larger builds (raised order cap) fall back to
+multiplying concrete elements on demand, which is all the matrix-family
 verification needs.
 
 The BFS tree also spells every element as a word in the spec's generators,
@@ -35,7 +37,7 @@ from .errors import (
 )
 from .fields import MAT3_IDENTITY, Mat3, field_create, mat_label
 
-DEFAULT_ORDER_CAP = 2048  # also the largest order for which the n*n table is stored
+DEFAULT_ORDER_CAP = 2048  # also the largest order for which the table is stored
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,20 @@ class Quotient:
 GroupSpec = Union[PermutationGenerators, MatrixGenerators, Named, DirectProduct, Quotient]
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def as_int(value, what: str) -> int:
+    """``value`` if it is an int (a bool is not), or the int that a string of
+    decimal digits, with an optional minus sign, spells; anything else raises
+    BadParams, so no spec names a group by truncating a float such as 6.5."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
+    raise BadParams(f"{what} must be an integer, got {value!r}")
+
+
 def perm_spec(generators, degree: int | None = None) -> PermutationGenerators:
     """Build a permutation spec from cycle strings or image arrays."""
     imgs = []
@@ -83,7 +99,7 @@ def perm_spec(generators, degree: int | None = None) -> PermutationGenerators:
         if isinstance(g, str):
             img = perms.parse_cycles(g, degree)
         else:
-            img = tuple(int(i) for i in g)
+            img = tuple(as_int(i, "permutation image") for i in g)
         imgs.append(img)
         maxdeg = max(maxdeg, len(img))
     if degree is None:
@@ -100,7 +116,7 @@ def matrix_spec(q: int, generators) -> MatrixGenerators:
     field = field_create(q)
     mats = []
     for m in generators:
-        m = tuple(int(x) for x in m)
+        m = tuple(as_int(x, "matrix entry") for x in m)
         if len(m) != 9 or any(not 0 <= x < q for x in m):
             raise InvalidGenerator(f"matrix {m!r} is not a row-major 3x3 over GF({q})")
         if field.mat_det(m) == 0:
@@ -145,9 +161,9 @@ def spec_from_json(data: dict) -> GroupSpec:
     except (TypeError, KeyError):
         raise BadParams("group spec JSON must be an object with a 'variant' key") from None
     if variant == "permutation":
-        return perm_spec(data["generators"], int(data["degree"]))
+        return perm_spec(data["generators"], as_int(data["degree"], "degree"))
     if variant == "matrix":
-        return matrix_spec(int(data["q"]), data["generators"])
+        return matrix_spec(as_int(data["q"], "q"), data["generators"])
     if variant == "named":
         from .constructions import construct_named  # registry lives with the constructors
 
@@ -180,17 +196,23 @@ def format_word(word: tuple[int, ...]) -> str:
     return "*".join(parts)
 
 
-def parse_word(text: str) -> tuple[int, ...]:
+def _word_powers(text: str) -> list[tuple[int, int]]:
+    """The (generator index, exponent) of each token: "g0*g1^2" -> [(0, 1), (1, 2)]."""
     text = text.strip()
     if text in ("e", ""):
-        return ()
-    out: list[int] = []
+        return []
+    out = []
     for token in text.split("*"):
         m = _WORD_TOKEN.match(token.strip())
         if not m:
             raise BadParams(f"unparseable generator word {text!r}")
-        out.extend([int(m.group(1))] * int(m.group(2) or 1))
-    return tuple(out)
+        out.append((int(m.group(1)), int(m.group(2) or 1)))
+    return out
+
+
+def parse_word(text: str) -> tuple[int, ...]:
+    """The word as a tuple of generator indices, each power written out."""
+    return tuple(k for k, e in _word_powers(text) for _ in range(e))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +229,7 @@ class GroupTable:
         self.gen_ids = tuple(gen_ids)
         self._parent = parent  # BFS tree: e_i = e_p * g_k for (p, k) = parent[i]
         self._label_c = label_c
-        self.mul_table = mul_table  # flat n*n list, or None for sparse groups
+        self.mul_table = mul_table  # mul_table[a][b] = a*b, n row tuples; None for sparse groups
         self.inv = inv
         self._mul_c = mul_c
         self._elems = elems
@@ -222,11 +244,14 @@ class GroupTable:
 
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
-            return self.mul_table[a * self.n + b]
+            return self.mul_table[a][b]
         return self._ids[self._mul_c(self._elems[a], self._elems[b])]
 
     def conjugate(self, g: int, x: int) -> int:
         """g * x * g^-1."""
+        mt = self.mul_table
+        if mt is not None:
+            return mt[mt[g][x]][self.inv[g]]
         return self.mul(self.mul(g, x), self.inv[g])
 
     def require_dense(self):
@@ -248,13 +273,20 @@ class GroupTable:
         return format_word(self.word(elem))
 
     def eval_word(self, word) -> int:
-        if isinstance(word, str):
-            word = parse_word(word)
+        """The element a word names.  Each ``gk^e`` of a word string is raised by
+        repeated squaring, O(log e) products, so a huge exponent costs no more."""
+        powers = _word_powers(word) if isinstance(word, str) else [(k, 1) for k in word]
         x = 0
-        for k in word:
+        for k, e in powers:
             if not 0 <= k < len(self.gen_ids):
                 raise BadParams(f"word references generator g{k}; group has {len(self.gen_ids)}")
-            x = self.mul(x, self.gen_ids[k])
+            a = self.gen_ids[k]
+            while e:
+                if e & 1:
+                    x = self.mul(x, a)
+                e >>= 1
+                if e:
+                    a = self.mul(a, a)
         return x
 
     def cyclic_subgroups(self) -> list[int]:
@@ -281,9 +313,8 @@ class GroupTable:
         if perm is None:
             gi = self.inv[g]
             if self.mul_table is not None:
-                n, mt = self.n, self.mul_table
-                grow = g * n
-                perm = [mt[mt[grow + x] * n + gi] for x in range(n)]
+                mt = self.mul_table
+                perm = [mt[y][gi] for y in mt[g]]
             else:
                 perm = [self.mul(self.mul(g, x), gi) for x in range(self.n)]
             table[g] = perm
@@ -307,12 +338,13 @@ def closure_ids(G: GroupTable, seed_ids) -> int:
             seeds.append(s)
     if not seeds:
         return bits
-    mt, n = G.mul_table, G.n
+    mt = G.mul_table
     while frontier:
         nxt = []
         for x in frontier:
+            row = mt[x] if mt is not None else None
             for s in seeds:
-                y = mt[x * n + s] if mt is not None else G.mul(x, s)
+                y = row[s] if row is not None else G.mul(x, s)
                 if not (bits >> y) & 1:
                     bits |= 1 << y
                     nxt.append(y)
@@ -359,19 +391,20 @@ def join_bits(G: GroupTable, base_bits: int, gens, base_gens) -> int:
     members = bits_to_ids(base_bits)
     size = order = len(members)
     limit = n // least_prime_factor(n // order)
+    rows = [mt[h] for h in members]
     edge_gens = [g for g in dict.fromkeys(tuple(base_gens) + tuple(gens)) if g]
     covered = base_bits | 1
     reps = [0]
     head = 0
     while head < len(reps):
-        rn = reps[head] * n
+        row = mt[reps[head]]
         head += 1
         for g in edge_gens:
-            y = mt[rn + g]
+            y = row[g]
             if not (covered >> y) & 1:
                 cos = 0
-                for h in members:
-                    cos |= 1 << mt[h * n + y]
+                for h_row in rows:
+                    cos |= 1 << h_row[y]
                 cos |= 1 << y
                 covered |= cos
                 size += order
@@ -402,11 +435,9 @@ def generating_set(G: GroupTable, bits: int) -> tuple[int, ...]:
 def is_normal_bits(G: GroupTable, bits: int) -> bool:
     """True iff conjugation by every group generator maps the subgroup into itself."""
     members = bits_to_ids(bits)
-    inv = G.inv
     for g in dict.fromkeys(G.gen_ids):
-        gi = inv[g]
         for x in members:
-            if not (bits >> G.mul(G.mul(g, x), gi)) & 1:
+            if not (bits >> G.conjugate(g, x)) & 1:
                 return False
     return True
 
@@ -420,19 +451,27 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
     ids = {identity: 0}
     elems = [identity]
     parent = [(-1, -1)]
+    # right[k][x]: the id of e_x*g_k, the closure's own products, kept while
+    # the group can still get a dense table
+    right = [[] for _ in gens]
     head = 0
     while head < len(elems):
         cur = elems[head]
         for k, g in enumerate(gens):
             z = mul_c(cur, g)
-            if z not in ids:
-                ids[z] = len(elems)
+            i = ids.get(z)
+            if i is None:
+                i = ids[z] = len(elems)
                 elems.append(z)
                 parent.append((head, k))
-                if len(elems) > cap:
+                if i >= cap:
                     raise OrderCapExceeded(
                         f"group closure passed the order cap {cap}; raise the cap to allow this build"
                     )
+                if i == DEFAULT_ORDER_CAP:
+                    right = None
+            if right is not None:
+                right[k].append(i)
         head += 1
     n = len(elems)
     gen_ids = [ids[g] for g in gens]
@@ -447,20 +486,23 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
         inv[i] = ids[mul_c(gen_invs[k], elems[inv[p]])]
 
     mul_table = None
-    if n <= DEFAULT_ORDER_CAP:
-        # Left-multiplication columns L_k let the table be filled a row at a
-        # time with no further concrete products: e_i = e_p*g_k, so
-        # e_i*e_j = e_p*(g_k*e_j) and row i is row p read through L_k, one
-        # itemgetter call per row.  Each row is written in place, so the n*n
-        # list is the only table built.  For n == 1 an itemgetter of one
-        # index would return a scalar, but the trivial group has no row to
-        # fill, so it is never called.
-        lcols = [itemgetter(*[ids[mul_c(g, e)] for e in elems]) for g in gens]
-        mul_table = [0] * (n * n)
-        mul_table[:n] = range(n)
-        for i in range(1, n):
-            p, k = parent[i]
-            mul_table[i * n : i * n + n] = lcols[k](mul_table[p * n : p * n + n])
+    if right is not None:
+        # The left-multiplication columns L_k[j] = g_k*e_j come from the
+        # closure's products: e_j = e_q*g_m, so g_k*e_j = (g_k*e_q)*g_m is
+        # right[m][L_k[q]], with q < j.  Then e_i = e_p*g_k gives
+        # e_i*e_j = e_p*(g_k*e_j): row i is row p read through L_k, one
+        # itemgetter call per row, with no concrete product at all.  For
+        # n == 1 an itemgetter of one index would return a scalar, but the
+        # trivial group has no row to fill, so it is never called.
+        lcols = []
+        for g in gen_ids:
+            col = [g]
+            for q, m in parent[1:]:
+                col.append(right[m][col[q]])
+            lcols.append(itemgetter(*col))
+        mul_table = [tuple(range(n))]
+        for p, k in parent[1:]:
+            mul_table.append(lcols[k](mul_table[p]))
     return GroupTable(spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids)
 
 

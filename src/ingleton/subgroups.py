@@ -18,16 +18,18 @@ Schreier element fixing R.  By Schreier's lemma these generate N_G(R), so
 the atoms' N_G(R)-orbits are a BFS over R's generators and the Schreier
 elements outside R.  A join (``groups.join_bits``, which also builds
 generating sets) grows a union of right cosets along the Schreier graph,
-about one table lookup per element of the result, and stops by Lagrange's
-theorem as soon as the cosets cover more than |G|/p elements, p the least
-prime factor of [G:H]: most joins of a lattice are G, and those stop about
-halfway.  Normal subgroups are the joins of the normal closures of element
-classes, closed in one pass.  ``conjugation_table`` then permutes lattice
-indices by conjugation, reading each generator's row off
-``membership_masks`` of the lattice, which must be sorted by order: its
-orbits are the subgroup classes and its fixed points the normal subgroups,
-which ``subgroup_conjugacy_classes`` and ``is_normal`` find independently
-from bitsets.
+about one table lookup per element of the result (each member's row of
+``G.mul_table`` is fetched once per join), and stops by Lagrange's theorem
+as soon as the cosets cover more than |G|/p elements, p the least prime
+factor of [G:H]: most joins of a lattice are G, and those stop about
+halfway.  Element classes are a BFS over element ids through the
+generators' ``conj_perm`` lists, and normal subgroups are the joins of the
+normal closures of those classes, closed in one pass.
+``conjugation_table`` then permutes lattice indices by conjugation, reading
+each generator's row off ``membership_masks`` of the lattice, which must be
+sorted by order: its orbits are the subgroup classes and its fixed points
+the normal subgroups, which ``subgroup_conjugacy_classes`` and ``is_normal``
+find independently from bitsets.
 """
 
 from __future__ import annotations
@@ -190,14 +192,14 @@ def conjugation_table(G: GroupTable, subs: list[Subgroup], has: list[int]) -> li
     conj: list = [None] * G.n
     identity = tuple(range(S))
     conj[0] = array(code, identity)
-    mt, n = G.mul_table, G.n
+    mt = G.mul_table
     frontier = [(0, identity)]
     while frontier:
         nxt = []
         for x, row in frontier:
-            xn = x * n
+            x_row = mt[x]
             for g, pick in zip(gens, picks):
-                y = mt[xn + g]
+                y = x_row[g]
                 if conj[y] is None:
                     composed = pick(row)
                     conj[y] = array(code, composed)
@@ -223,7 +225,7 @@ def _conjugacy_class(
     frontier = [bits]
     conjugators = [(g, G.conj_perm(g)) for g in dict.fromkeys(G.gen_ids)]
     if schreier is not None:
-        mt, n, inv = G.mul_table, G.n, G.inv
+        mt, inv = G.mul_table, G.inv
         u = {bits: 0}
     while frontier:
         nxt = []
@@ -234,9 +236,9 @@ def _conjugacy_class(
                     found[c] = tuple(map(perm.__getitem__, found[b]))
                     nxt.append(c)
                     if schreier is not None:
-                        u[c] = mt[g * n + u[b]]
+                        u[c] = mt[g][u[b]]
                 elif schreier is not None:
-                    schreier.append(mt[inv[u[c]] * n + mt[g * n + u[b]]])
+                    schreier.append(mt[inv[u[c]]][mt[g][u[b]]])
         frontier = nxt
     return found
 
@@ -266,14 +268,25 @@ def core(G: GroupTable, H: Subgroup) -> Subgroup:
 
 
 def element_conjugacy_classes(G: GroupTable) -> list[list[int]]:
-    """Element conjugacy classes as sorted ids: the classes of singleton bitsets."""
+    """Element conjugacy classes as sorted ids, in the order of their least ids.
+
+    Each class is a BFS over element ids through the generators' ``conj_perm``
+    lists; a byte per element marks the ids already assigned to a class.
+    """
+    perms = [G.conj_perm(g) for g in dict.fromkeys(G.gen_ids)]
     assigned = bytearray(G.n)
     classes = []
     for a in range(G.n):
         if not assigned[a]:
-            cls = sorted(b.bit_length() - 1 for b in _conjugacy_class(G, 1 << a))
+            assigned[a] = 1
+            cls = [a]
             for x in cls:
-                assigned[x] = 1
+                for perm in perms:
+                    y = perm[x]
+                    if not assigned[y]:
+                        assigned[y] = 1
+                        cls.append(y)
+            cls.sort()
             classes.append(cls)
     return classes
 
@@ -368,7 +381,7 @@ def all_subgroups(
     for bits, _, gen in atoms:
         if bits not in subs:
             add_class(bits, (gen,))
-    mt, n, inv = G.mul_table, G.n, G.inv
+    mt, inv = G.mul_table, G.inv
     head = 0
     while head < len(reps):
         if deadline is not None and time.monotonic() > deadline:
@@ -378,7 +391,7 @@ def all_subgroups(
             )
         h_bits, h_gens, norm_gens = reps[head]
         head += 1
-        conjugators = [(g * n, inv[g]) for g in norm_gens]
+        conjugators = [(mt[g], inv[g]) for g in norm_gens]
         joined = bytearray(len(atoms))  # atoms in the N_G(R)-orbit of a joined one
         for k, (c_bits, _, c_gen) in enumerate(atoms):
             if joined[k] or c_bits & h_bits == c_bits:
@@ -387,8 +400,8 @@ def all_subgroups(
             joined[k] = 1
             orbit = [c_gen]
             for x in orbit:
-                for gn, gi in conjugators:
-                    y = mt[mt[gn + x] * n + gi]
+                for g_row, gi in conjugators:
+                    y = mt[g_row[x]][gi]
                     if not joined[atom_of[y]]:
                         joined[atom_of[y]] = 1
                         orbit.append(y)

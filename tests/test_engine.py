@@ -93,6 +93,50 @@ def test_generative_examples():
     assert is_generative(example_3xpsl27())
 
 
+GENERATIVE_GROUPS = {"S5": (named("sym", 5), 2), "A4wr2": (named("wreath2", "alt", 4), 3)}
+
+
+@functools.cache
+def generative_lattice(name):
+    """The group, its lattice, and the lattice of a subgroup K of the given
+    prime index (A5 in S5; an order-96 subgroup of A4 wreath 2)."""
+    spec, index = GENERATIVE_GROUPS[name]
+    G = build_group(spec)
+    subs = all_subgroups(G)
+    K = next(s for s in subs if s.order * index == G.n)
+    return G, subs, [s for s in subs if K.contains(s)]
+
+
+def _inside_k_examples(test):
+    """Run quadruples of K's four largest proper subgroups as explicit examples."""
+    for name in GENERATIVE_GROUPS:
+        test = example(name=name, picks=(-2, -3, -4, -5), inside=True)(test)
+        test = example(name=name, picks=(-2, -3, -4, -1), inside=True)(test)
+        test = example(name=name, picks=(-2, -3, -4, 10**6), inside=False)(test)
+    return test
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.sampled_from(sorted(GENERATIVE_GROUPS)),
+    picks=st.tuples(*(st.integers(-10, 10**6),) * 4),
+    inside=st.booleans(),
+)
+@_inside_k_examples
+def test_is_generative_matches_the_closure_of_all_generators(name, picks, inside):
+    # is_generative joins H2..H4's generators onto H1, stopping by Lagrange;
+    # the oracle closes every generator of the four roles from scratch.  With
+    # ``inside`` the roles are drawn from K, where no join may reach G
+    G, subs, in_k = generative_lattice(name)
+    pool = in_k if inside else subs
+    Q = Quadruple(*(pool[p % len(pool)] for p in picks))
+    full = (1 << G.n) - 1
+    expected = closure_ids(G, [g for h in Q.subs for g in h.gens]) == full
+    assert is_generative(Q) == expected
+    if inside:
+        assert not expected
+
+
 def test_irreducible_examples():
     G = build_group(named("sym", 4))
     full = generated_subgroup(G, list(G.gen_ids))

@@ -123,15 +123,16 @@ def _s4_x_c3_mod_v4():
     ids=["S4", "family-q4", "A4xD8", "S4xC3/V4", "A4wr2", "C1"],
 )
 def test_dense_table_matches_concrete_products(make):
-    # the table is filled by composing rows; every entry must be the id of
-    # the concrete product, and inv must be a two-sided inverse
+    # the table is n rows composed from the closure's products; every entry
+    # must be the id of the concrete product, and inv a two-sided inverse
     G = make()
     n, mt, mul_c, elems, ids = G.n, G.mul_table, G._mul_c, G._elems, G._ids
-    assert mt is not None and len(mt) == n * n
+    assert mt is not None and len(mt) == n
     for a in range(n):
         ea = elems[a]
-        assert mt[a * n : a * n + n] == [ids[mul_c(ea, eb)] for eb in elems]
-        assert mt[a * n + G.inv[a]] == 0 == mt[G.inv[a] * n + a]
+        assert type(mt[a]) is tuple and len(mt[a]) == n
+        assert mt[a] == tuple(ids[mul_c(ea, eb)] for eb in elems)
+        assert mt[a][G.inv[a]] == 0 == mt[G.inv[a]][a]
 
 
 @pytest.mark.parametrize("q", [7, 8, 9])
@@ -171,6 +172,23 @@ def test_words_evaluate_to_their_elements():
         assert G.eval_word(G.word_str(e)) == e
 
 
+def test_eval_word_raises_powers_by_squaring(monkeypatch):
+    # g0^e costs O(log e) products: the word is never written out, so an
+    # exponent of 10**12 makes at most two products per bit
+    G = build_group(named("sym", 4))
+    for text in ("g0^5*g1^3", "g1^0*g0", "g0*g1^7*g0^2", "e"):
+        assert G.eval_word(text) == G.eval_word(parse_word(text))
+    e = 10**12
+    expected = G.eval_word(f"g0^{e % G.element_orders()[G.gen_ids[0]]}")
+    products = []
+    mul = G.mul
+    monkeypatch.setattr(G, "mul", lambda a, b: products.append(1) or mul(a, b))
+    assert G.eval_word(f"g0^{e}") == expected
+    assert 0 < len(products) <= 2 * e.bit_length()
+    with pytest.raises(BadParams):
+        G.eval_word(f"g7^{e}")  # the generator index is still checked
+
+
 def test_word_format_roundtrip():
     for word in ((), (0,), (0, 0, 1), (1, 1, 1, 0, 2)):
         assert parse_word(format_word(word)) == word
@@ -187,6 +205,34 @@ def test_spec_json_roundtrip():
     ]
     for spec in specs:
         assert spec_from_json(spec_to_json(spec)) == spec
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"variant": "named", "name": "alt", "params": [6.5]},
+        {"variant": "named", "name": "alt", "params": [True]},
+        {"variant": "named", "name": "alt", "params": ["6.5"]},
+        {"variant": "named", "name": "alt", "params": [None]},
+        {"variant": "named", "name": "wreath2", "params": ["alt", 4.0]},
+        {"variant": "permutation", "degree": 4.5, "generators": ["(1,2)"]},
+        {"variant": "permutation", "degree": True, "generators": ["()"]},
+        {"variant": "permutation", "degree": 3, "generators": [[1.0, 0, 2]]},
+        {"variant": "matrix", "q": 5.0, "generators": [[1, 0, 0, 0, 1, 0, 0, 0, 1]]},
+        {"variant": "matrix", "q": 5, "generators": [[1.5, 0, 0, 0, 1, 0, 0, 0, 1]]},
+    ],
+)
+def test_spec_json_numbers_must_be_integers(data):
+    # a float or a bool is never truncated into some other group
+    with pytest.raises(BadParams):
+        spec_from_json(data)
+
+
+def test_spec_json_accepts_ints_and_digit_strings():
+    for params in ([6], ["6"]):
+        assert spec_from_json({"variant": "named", "name": "alt", "params": params}) == Named("alt", (6,))
+    data = {"variant": "permutation", "degree": "3", "generators": [[1, 0, 2]]}
+    assert spec_from_json(data) == perm_spec(["(1,2)"], 3)
 
 
 def test_quotient_by_trivial_subgroup():

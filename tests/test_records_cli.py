@@ -290,6 +290,33 @@ def test_verify_record_never_raises_on_a_mutated_field(path, value):
     assert all(isinstance(p, str) for p in problems)
 
 
+def test_verify_record_raises_word_powers_by_squaring(monkeypatch):
+    # g0 has order 3 and 10**12 = 1 mod 3, so H1's word g0^(10**12) names the
+    # same element as g0: both records give the same mismatches, and the power
+    # costs at most two products per bit of the exponent, not 10**12
+    from ingleton.groups import GroupTable
+
+    products = []
+    mul = GroupTable.mul
+    monkeypatch.setattr(GroupTable, "mul", lambda self, a, b: products.append(1) or mul(self, a, b))
+    results = []
+    for word in (f"g0^{10**12}", "g0"):
+        record = json.loads(json.dumps(SHIPPED_RECORD))
+        record["subgroups"][0]["generators"][0] = word
+        products.clear()
+        results.append((verify_record(record), len(products)))
+    (huge, huge_products), (plain, plain_products) = results
+    assert huge == plain and huge and isinstance(huge, list)
+    assert huge_products - plain_products <= 2 * (10**12).bit_length()
+
+
+def test_verify_record_rejects_a_non_integer_parameter():
+    # alt:6.5 once verified as A6; now it is a mismatch, never a crash
+    record = {**SHIPPED_RECORD, "group": {"variant": "named", "name": "alt", "params": [6.5]}}
+    problems = verify_record(record)
+    assert len(problems) == 1 and problems[0].startswith("rebuild failed: non-integer parameter")
+
+
 def test_cli_verify_continues_past_invalid_json_line(tmp_path, capsys):
     line = SHIPPED_EXAMPLE.read_text(encoding="utf-8").strip()
     bad_file = tmp_path / "truncated.jsonl"

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ingleton.constructions import dicyclic_spec, expand_named
+from ingleton.constructions import dicyclic_spec, expand_named, supersoluble_family
 from ingleton.errors import OrderCapExceeded, ParentMismatch
 from ingleton.groups import bits_to_ids, build_group, closure_ids, generating_set
 from ingleton.permutations import parse_cycles
@@ -12,6 +12,7 @@ from ingleton.subgroups import (
     conjugate_bits,
     core,
     cyclic_atoms,
+    element_conjugacy_classes,
     generated_subgroup,
     image_subgroup,
     intersection,
@@ -297,28 +298,54 @@ def test_join_bits_matches_generator_closure():
     assert prime_index and index_p
 
 
-class CountingReads(list):
-    """A multiplication table that counts its reads."""
+class CountingRow(tuple):
+    """A row of the multiplication table that counts the entries read from it."""
 
-    reads = 0
+    reads = [0]
 
     def __getitem__(self, i):
-        self.reads += 1
+        self.reads[0] += 1
         return super().__getitem__(i)
 
 
 def test_join_bits_stops_by_lagrange(monkeypatch):
     # a point stabiliser S4 has prime index 5 in S5, so one coset past the
     # base covers more than |G|/5 elements and the join is G: one coset of
-    # 24 table reads is filled, not the 4 that growing the whole join takes
+    # 24 entry reads is filled, not the 4 that growing the whole join takes
     G = build_group(named("sym", 5))
     H = next(s for s in all_subgroups(G) if s.order == 24)
     c = next(x for x in range(G.n) if x not in H)
-    table = CountingReads(G.mul_table)
-    monkeypatch.setattr(G, "mul_table", table)
+    reads = [0]
+    monkeypatch.setattr(CountingRow, "reads", reads)
+    monkeypatch.setattr(G, "mul_table", [CountingRow(row) for row in G.mul_table])
     assert join_bits(G, H.bits, (c,), base_gens=H.gens) == (1 << G.n) - 1
-    reads = table.reads
-    assert reads < 2 * H.order
+    assert 0 < reads[0] < 2 * H.order
+
+
+@pytest.mark.parametrize(
+    "make, sparse",
+    [
+        (lambda: build_group(named("sym", 4)), False),
+        (lambda: build_group(named("wreath2", "alt", 4)), False),
+        (lambda: supersoluble_family(4).group, False),
+        (lambda: build_group(named("sym", 4)), True),
+    ],
+    ids=["S4", "A4wr2", "family-q4", "S4-sparse"],
+)
+def test_element_classes_are_the_orbits_under_conjugation(make, sparse, monkeypatch):
+    # the generators' conjugation BFS against {g x g^-1 : g in G}, element by
+    # element, with every product made by G.mul
+    from ingleton import groups
+
+    if sparse:
+        monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+    G = make()
+    assert (G.mul_table is None) == sparse
+    orbits = {}
+    for x in range(G.n):
+        orbit = tuple(sorted({G.mul(G.mul(g, x), G.inv[g]) for g in range(G.n)}))
+        orbits.setdefault(orbit[0], list(orbit))
+    assert element_conjugacy_classes(G) == [orbits[a] for a in sorted(orbits)]
 
 
 def restart_greedy_generating_set(G, bits):
