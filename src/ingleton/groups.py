@@ -92,13 +92,20 @@ def as_int(value, what: str) -> int:
 
 
 def perm_spec(generators, degree: int | None = None) -> PermutationGenerators:
-    """Build a permutation spec from cycle strings or image arrays."""
+    """Build a permutation spec from cycle strings or image arrays.
+
+    A degree above ``perms.MAX_DEGREE``, given or implied, raises BadParams
+    before any generator is padded to it.
+    """
+    if degree is not None:
+        perms.check_degree(degree)
     imgs = []
     maxdeg = degree or 1
     for g in generators:
         if isinstance(g, str):
             img = perms.parse_cycles(g, degree)
         else:
+            perms.check_degree(len(g))
             img = tuple(as_int(i, "permutation image") for i in g)
         imgs.append(img)
         maxdeg = max(maxdeg, len(img))

@@ -13,6 +13,17 @@ import re
 from .errors import BadParams, InvalidGenerator
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
+# The largest degree a permutation may have.  A group stores each element as a
+# tuple of ``degree`` points, so at the order cap (2048) this bounds a build
+# at about 64 MiB; the largest degree a named family reaches is 48 (gl2:7).
+MAX_DEGREE = 4096
+
+
+def check_degree(degree: int) -> None:
+    """Raise BadParams for a degree above ``MAX_DEGREE``, before anything of
+    that size is allocated."""
+    if degree > MAX_DEGREE:
+        raise BadParams(f"permutation degree {degree} is above the limit {MAX_DEGREE}")
 
 
 def identity_perm(degree: int) -> tuple[int, ...]:
@@ -63,6 +74,7 @@ def parse_cycles(text: str, degree: int | None = None) -> tuple[int, ...]:
         maxpoint = max(maxpoint, max(points))
     if degree is None:
         degree = maxpoint
+    check_degree(degree)
     if maxpoint > degree:
         raise BadParams(f"cycle string {text!r} exceeds degree {degree}")
     img = list(range(degree))

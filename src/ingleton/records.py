@@ -9,7 +9,7 @@ decimal strings, the reduced ratio, the score, and classification flags.
 and recomputes every field; a caller verifying many records can pass a dict
 that keeps each distinct group spec's build.  The class size is recomputed by
 orbit–stabiliser (``class_size``), from the rebuilt subgroups' generators, so
-it shares no code with the search's conjugation table or canonical form.
+it shares no code with the search's conjugation rows or canonical form.
 """
 
 from __future__ import annotations

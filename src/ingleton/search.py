@@ -12,13 +12,21 @@ defined below (the H3<->H4 swap).
 Every pruning filter implements a proven exclusion criterion, so disabling
 filters changes runtime, never results.
 
-Conjugation permutes the lattice, so ``subgroups.conjugation_table`` gives
-``conj[g][i]``, the index of g Hi g^-1, and every class fact comes from it:
-the orbit of i is Hi's class, with its least index as representative, a
-class of one member is a normal subgroup, and H1's stabiliser is N_G(H1).  A
-hit's orbit costs four array reads per element; ``seen`` holds every member
-of each orbit found, as the packed index ((i1 S + i2) S + i3) S + i4, and
-the class representative is the least member by bitset tuple.
+Conjugation permutes the lattice, and the class BFS of ``all_subgroups``
+has already conjugated every subgroup by each of G's generators
+(``subgroups.lattice_conjugation``).  So each generator g has a row
+``conj[g]``, conj[g][i] the index of g Hi g^-1, read off those images, and
+every class fact comes from these k rows, with no row per element of G: the
+orbit of i under them is Hi's class, whose representative is the one the
+lattice chose, and "no earlier" compares representative indices; a class of
+one member is a normal subgroup.  N_G(H1) acts through the rows of the
+normaliser generators the lattice kept for H1, each composed along G's BFS
+tree from the generator rows on first use.  A hit's orbit is a BFS of the
+quadruple under the generator rows, each conjugate then taken under the two
+role swaps; ``seen`` holds every member of each orbit found, as the packed
+index ((i1 S + i2) S + i3) S + i4, and the class representative is the
+least member by bitset tuple.  The cyclic subgroups are the trivial one and
+the lattice's atoms (``subgroups.cyclic_atoms``).
 
 Each role criterion depends on one subgroup and each pair criterion on two
 subgroups and the order of their meet, so all of them are decided once, up
@@ -27,11 +35,11 @@ cyclic and normal subgroups, ``h34_mask`` prime-power cyclic ones.  Partner
 masks: ``apart[i]`` holds every j where neither of Hi, Hj contains the other,
 and ``meets[i]`` the members of ``apart[i]`` that meet Hi nontrivially.  The
 loops walk intersections of these masks; a disabled filter leaves its mask
-full.  ``_pair_tables`` builds them without visiting a pair: ``has[x]``, the
-mask of the subgroups holding element x, transposes the lattice once (the
-conjugation table is read off the same masks); the AND of ``has`` over Hi's
-generators is the set above Hi, that set transposed the set below, and the
-OR of ``has`` over Hi's nonidentity elements the set meeting Hi.  In
+full.  ``_pair_tables`` builds them without visiting a pair: ``has[x]``,
+the mask of the subgroups holding element x, transposes the lattice once;
+the AND of ``has`` over Hi's generators is the set above Hi, that set
+transposed the set below, and the OR of ``has`` over Hi's nonidentity
+elements the set meeting Hi.  In
 place of a table of intersection orders, ``levels[i]`` holds, for each order
 w > 1 of a subgroup of Hi, ascending, the mask ``ge`` of the k with
 |Hi ^ Hk| >= w.  It is the OR of the sets above K over the K <= Hi with
@@ -87,7 +95,6 @@ from __future__ import annotations
 
 import math
 import time
-from array import array
 from dataclasses import dataclass, replace
 from functools import cache, reduce
 from operator import and_, or_
@@ -100,12 +107,13 @@ from .subgroups import (
     Subgroup,
     all_subgroups,
     conjugate_bits,
-    conjugation_table,
-    is_cyclic,
+    cyclic_atoms,
     is_prime_power,
     join_bits,
+    lattice_conjugation,
     membership_masks,
-    # not called here, but perfbench/workloads.py wraps both by this module's name
+    # not called here, but perfbench/workloads.py wraps these by this module's name
+    is_cyclic,
     is_normal,
     subgroup_conjugacy_classes,
 )
@@ -209,23 +217,49 @@ def minimal_constraints(Q: Quadruple) -> bool:
     return True
 
 
-def _lattice_classes(conj: list[array]):
-    """The subgroup classes read off the conjugation table ``conj``.
+class _ConjugationRows(dict):
+    """``rows[x][i]``: the lattice index of x Hi x^-1, for an element x of G.
 
-    The orbit of i is Hi's class.  ``rep[i]``, its least index, is its least
-    (order, bits) member; ``class_size[i]`` is the class size at a
-    representative and 0 elsewhere, so ``class_size[i] == 1`` iff Hi is
-    normal.
+    The rows of G's distinct generators are read off the images that
+    ``lattice_conjugation`` keeps, ``index_of`` mapping each bitset of the
+    lattice to its index.  Any other row is composed along G's BFS tree on
+    first use and kept: for e_y = e_p g, y Hi y^-1 = p (g Hi g^-1) p^-1, so
+    row y is row p read at row g.
     """
-    S = len(conj[0])
-    rep, class_size = [-1] * S, [0] * S
-    for i in range(S):
-        if rep[i] < 0:
-            orbit = {c[i] for c in conj}
-            class_size[i] = len(orbit)
-            for j in orbit:
-                rep[j] = i
-    return rep, class_size
+
+    def __init__(self, G: GroupTable, index_of: dict[int, int]):
+        super().__init__()
+        self.G = G
+        gens, images, _ = lattice_conjugation(G)
+        self[0] = tuple(range(len(index_of)))
+        for k, g in enumerate(gens):
+            self[g] = tuple([index_of[images[b][k]] for b in index_of])
+        self.generators = [self[g] for g in gens]
+
+    def __missing__(self, x: int) -> tuple[int, ...]:
+        G = self.G
+        mt, gen_ids = G.mul_table, G.gen_ids
+        p, row = 0, self[0]
+        for k in G.word(x):
+            g = gen_ids[k]
+            p = mt[p][g]
+            if p not in self:
+                self[p] = tuple(map(row.__getitem__, self[g]))
+            row = self[p]
+        return row
+
+
+def _orbit(start: list[int], rows, marks: bytearray) -> list[int]:
+    """``start`` extended by the indices reachable from it through ``rows``,
+    each marked in ``marks`` as it is found; ``start`` is marked by the
+    caller."""
+    for i in start:
+        for row in rows:
+            j = row[i]
+            if not marks[j]:
+                marks[j] = 1
+                start.append(j)
+    return start
 
 
 def _pair_tables(subs: list[Subgroup], has: list[int], f_contain, f_meets):
@@ -379,9 +413,23 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     bits = [s.bits for s in subs]
     orders = [s.order for s in subs]
 
-    has = membership_masks(G.n, bits)
-    conj = conjugation_table(G, subs, has)
-    rep, class_size = _lattice_classes(conj)
+    index_of = {b: i for i, b in enumerate(bits)}
+    conj = _ConjugationRows(G, index_of)
+    gen_rows = conj.generators
+    # the classes, as orbits of the generator rows: rep[i] is the index of
+    # the representative the lattice chose for Hi's class, and class_size[i]
+    # the class size at a representative and 0 elsewhere, so
+    # class_size[i] == 1 iff Hi is normal
+    rep, class_size = [-1] * S, [0] * S
+    in_class = bytearray(S)
+    normalisers = lattice_conjugation(G)[2]
+    for b in normalisers:
+        r = index_of[b]
+        in_class[r] = 1
+        cls = _orbit([r], gen_rows, in_class)
+        class_size[r] = len(cls)
+        for i in cls:
+            rep[i] = r
 
     f_noncyc = opts.filter_enabled(FILTER_NONCYCLIC_H1H2)
     f_meets = opts.filter_enabled(FILTER_NONTRIVIAL_MEETS)
@@ -389,7 +437,9 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
     f_product = opts.filter_enabled(FILTER_PRODUCT_H1H2)
     f_ppc = opts.filter_enabled(FILTER_H3H4_PRIME_POWER)
 
-    cyclic = [is_cyclic(s) for s in subs]
+    # the cyclic subgroups are the trivial one and the atoms
+    atoms = {b for b, _, _ in cyclic_atoms(G)}
+    cyclic = [b == 1 or b in atoms for b in bits]
 
     # role masks (see the module docstring); the partner masks and the
     # intersection levels come from _pair_tables
@@ -399,8 +449,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             h12_mask |= 1 << i
         if not (f_ppc and cyclic[i] and is_prime_power(orders[i])):
             h34_mask |= 1 << i
-    apart, meets, levels = _pair_tables(subs, has, f_contain, f_meets)
-    index_of = {b: i for i, b in enumerate(bits)}
+    apart, meets, levels = _pair_tables(subs, membership_masks(G.n, bits), f_contain, f_meets)
 
     @cache
     def bands(i):
@@ -425,11 +474,21 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         return bits[q12 // S], bits[q12 % S], bits[q34 // S], bits[q34 % S]
 
     def handle_hit(i1, i2, i3, i4):
-        if ((i1 * S + i2) * S + i3) * S + i4 in seen:
+        q = ((i1 * S + i2) * S + i3) * S + i4
+        if q in seen:
             return
+        # the conjugates of the quadruple, by a BFS over the generator rows
+        conjugates, reached = [(i1, i2, i3, i4)], {q}
+        for j1, j2, j3, j4 in conjugates:
+            for c in gen_rows:
+                k1, k2, k3, k4 = c[j1], c[j2], c[j3], c[j4]
+                q = ((k1 * S + k2) * S + k3) * S + k4
+                if q not in reached:
+                    reached.add(q)
+                    conjugates.append((k1, k2, k3, k4))
+        # and each of them under the two role swaps
         orbit = set()
-        for c in conj:
-            j1, j2, j3, j4 = c[i1], c[i2], c[i3], c[i4]
+        for j1, j2, j3, j4 in conjugates:
             h12, h21 = (j1 * S + j2) * SS, (j2 * S + j1) * SS
             h34, h43 = j3 * S + j4, j4 * S + j3
             orbit.update((h12 + h34, h21 + h34, h12 + h43, h21 + h43))
@@ -453,13 +512,13 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         if rep[i1] != i1 or not h12_mask >> i1 & 1:
             continue
         b1, o1 = bits[i1], orders[i1]
-        stab = [c for c in conj if c[i1] == i1]  # N_G(H1), acting on indices
+        stab = [conj[x] for x in normalisers[b1]]  # generators of N_G(H1), acting on indices
         visited = bytearray(S)  # H2 candidates in the N_G(H1)-orbit of a visited one
         for i2 in bits_to_ids(meets[i1] & h12_mask):
             if rep[i2] < i1 or visited[i2]:  # H2's class comes before H1's
                 continue
-            for c in stab:
-                visited[c[i2]] = 1
+            visited[i2] = 1
+            _orbit([i2], stab, visited)
             check_budget()
             b2 = bits[i2]
             i12 = index_of[b1 & b2]

@@ -10,11 +10,12 @@ extension).  Conjugation commutes with joins, ``<H^g, C^g> = <H, C>^g``, so
 only one representative R per class is joined with cyclic subgroups, and
 only with one cyclic atom per N_G(R)-orbit: for n in N_G(R) the join
 <R, C^n> is <R, C>^n, whose class is already known.  The rest of each class
-comes from permuting the representative's bitset by ``G.conj_perm``, which
-costs one step per member instead of a join closure.  N_G(R) comes from the
-same class BFS by orbit-stabiliser, with no scan over G: the BFS keeps a
-transversal and, for each edge that reaches a conjugate already found, a
-Schreier element fixing R.  By Schreier's lemma these generate N_G(R), so
+comes from a BFS over G's generators that carries each conjugate's element
+ids through ``G.conj_perm`` and sums one precomputed power of two per id
+into its bitset, a C-level step per member instead of a join closure.
+N_G(R) comes from the same class BFS by orbit-stabiliser, with no scan over
+G: the BFS keeps a transversal and, for each edge that reaches a conjugate
+already found, a Schreier element fixing R.  By Schreier's lemma these generate N_G(R), so
 the atoms' N_G(R)-orbits are a BFS over R's generators and the Schreier
 elements outside R.  A join (``groups.join_bits``, which also builds
 generating sets) grows a union of right cosets along the Schreier graph,
@@ -25,19 +26,18 @@ factor of [G:H]: most joins of a lattice are G, and those stop about
 halfway.  Element classes are a BFS over element ids through the
 generators' ``conj_perm`` lists, and normal subgroups are the joins of the
 normal closures of those classes, closed in one pass.
-``conjugation_table`` then permutes lattice indices by conjugation, reading
-each generator's row off ``membership_masks`` of the lattice, which must be
-sorted by order: its orbits are the subgroup classes and its fixed points
-the normal subgroups, which ``subgroup_conjugacy_classes`` and ``is_normal``
-find independently from bitsets.
+The class BFS already conjugates every subgroup by every generator, so
+``all_subgroups`` keeps those images and the normaliser generators of each
+class representative, and ``lattice_conjugation`` hands them to the search:
+the generators' images are all it needs to permute lattice indices by
+conjugation, with no table over the elements of G.
+``subgroup_conjugacy_classes`` and ``is_normal`` find classes and normality
+independently from bitsets.
 """
 
 from __future__ import annotations
 
 import time
-from array import array
-from functools import reduce
-from operator import and_, itemgetter
 
 from .errors import OrderCapExceeded, ParentMismatch, TimeBudgetExceeded
 from .groups import GroupTable, Projection, bits_to_ids, closure_ids, generating_set, is_normal_bits, join_bits, least_prime_factor
@@ -163,88 +163,66 @@ def membership_masks(n: int, bits: list[int]) -> list[int]:
     return has
 
 
-def conjugation_table(G: GroupTable, subs: list[Subgroup], has: list[int]) -> list[array]:
-    """``conj[g][i]``: the index of g Hi g^-1, for every element g of G.
-
-    ``subs`` is closed under conjugation and sorted by order, and ``has`` is
-    ``membership_masks`` of it.  The images under g of Hi's generators
-    generate g Hi g^-1, so the AND of their ``has`` masks holds the members
-    of ``subs`` that contain g Hi g^-1; the only one of them no larger is
-    g Hi g^-1 itself, so by the order sort it is the lowest index.  Each
-    generator's row costs one such AND per subgroup and becomes an
-    ``operator.itemgetter``.  Conjugation by x*g is conjugation by g followed
-    by conjugation by x, so the row of x*g is the generator's getter applied
-    to the row of x: one C-level call per element of G, walked as a BFS over
-    the generators.  Only the BFS frontier is held as tuples; each finished
-    row is stored as an ``array``.
-    """
-    S = len(subs)
-    code = "H" if S <= 0xFFFF else "I"
-    if S == 1:  # every conjugation fixes a lone subgroup (and itemgetter(k) returns no tuple)
-        return [array(code, [0]) for _ in range(G.n)]
-    gens = list(dict.fromkeys(G.gen_ids))
-    full = (1 << S) - 1
-    picks = []
-    for g in gens:
-        image = G.conj_perm(g)
-        above = [reduce(and_, [has[image[x]] for x in s.gens], full) for s in subs]
-        picks.append(itemgetter(*[(m & -m).bit_length() - 1 for m in above]))
-    conj: list = [None] * G.n
-    identity = tuple(range(S))
-    conj[0] = array(code, identity)
-    mt = G.mul_table
-    frontier = [(0, identity)]
-    while frontier:
-        nxt = []
-        for x, row in frontier:
-            x_row = mt[x]
-            for g, pick in zip(gens, picks):
-                y = x_row[g]
-                if conj[y] is None:
-                    composed = pick(row)
-                    conj[y] = array(code, composed)
-                    nxt.append((y, composed))
-        frontier = nxt
-    return conj
+def _conjugators(G: GroupTable) -> list[tuple[int, list[int], list[int]]]:
+    """``(g, perm, shift)`` per distinct generator g of G: ``perm`` is
+    ``G.conj_perm(g)`` and ``shift[x]`` is ``1 << perm[x]``, so the bitset of
+    g H g^-1 is one C-level ``sum`` over the ids of H."""
+    return [(g, perm, [1 << y for y in perm]) for g in dict.fromkeys(G.gen_ids) for perm in (G.conj_perm(g),)]
 
 
 def _conjugacy_class(
-    G: GroupTable, bits: int, gens=(), schreier: list[int] | None = None
+    G: GroupTable,
+    bits: int,
+    gens=(),
+    conjugators=None,
+    schreier: list[int] | None = None,
+    images: dict[int, tuple[int, ...]] | None = None,
 ) -> dict[int, tuple[int, ...]]:
     """The conjugates of a subgroup H, each bitset mapped to ``gens`` conjugated alike.
 
     A generating set of H so yields one of each conjugate.  The class is a
-    BFS over G's generators.  Given a list ``schreier``, the BFS also keeps a
-    transversal u, u[b] H u[b]^-1 = b, at one table read per new conjugate,
-    and appends to the list the Schreier element u[c]^-1 g u[b] of each edge
-    b -g-> c that reaches a conjugate c already found.  Each fixes H, and
-    they generate N_G(H) (Schreier's lemma; the edges of the BFS tree give
-    the identity).
+    BFS over G's generators (``conjugators``, as ``_conjugators`` gives them)
+    that carries each conjugate's element ids: those of g K g^-1 are K's
+    mapped through ``perm``, and its bitset is the sum of their ``shift``
+    entries, so no bitset is peeled.  Given a dict ``images``, the BFS
+    stores in it, for each conjugate K, the bitsets of g K g^-1 for each
+    generator, in the order of ``conjugators``.  Given a list ``schreier``,
+    the BFS also keeps a transversal u, u[K] H u[K]^-1 = K, at one table
+    read per new conjugate, and appends to the list the Schreier element
+    u[L]^-1 g u[K] of each edge K -g-> L that reaches a conjugate L already
+    found.  Each fixes H, and they generate N_G(H) (Schreier's lemma; the
+    edges of the BFS tree give the identity).
     """
-    found = {bits: tuple(gens)}
-    frontier = [bits]
-    conjugators = [(g, G.conj_perm(g)) for g in dict.fromkeys(G.gen_ids)]
+    if conjugators is None:
+        conjugators = _conjugators(G)
+    members, member_gens, member_ids = [bits], [tuple(gens)], [bits_to_ids(bits)]
+    position = {bits: 0}
     if schreier is not None:
         mt, inv = G.mul_table, G.inv
-        u = {bits: 0}
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for g, perm in conjugators:
-                c = conjugate_bits(G, b, g)
-                if c not in found:
-                    found[c] = tuple(map(perm.__getitem__, found[b]))
-                    nxt.append(c)
-                    if schreier is not None:
-                        u[c] = mt[g][u[b]]
-                elif schreier is not None:
-                    schreier.append(mt[inv[u[c]]][mt[g][u[b]]])
-        frontier = nxt
-    return found
+        u = [0]
+    for p, b in enumerate(members):  # the list grows as the BFS goes
+        ids, member_ids[p] = member_ids[p], None
+        out = []
+        for g, perm, shift in conjugators:
+            c = sum(map(shift.__getitem__, ids))
+            q = position.get(c)
+            if q is None:
+                q = position[c] = len(members)
+                members.append(c)
+                member_gens.append(tuple(map(perm.__getitem__, member_gens[p])))
+                member_ids.append(list(map(perm.__getitem__, ids)))
+                if schreier is not None:
+                    u.append(mt[g][u[p]])
+            elif schreier is not None:
+                schreier.append(mt[inv[u[q]]][mt[g][u[p]]])
+            out.append(members[q])
+        if images is not None:
+            images[b] = tuple(out)
+    return dict(zip(members, member_gens))
 
 
 def _class_and_normaliser(
-    G: GroupTable, bits: int, gens
+    G: GroupTable, bits: int, gens, conjugators=None, images=None
 ) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...]]:
     """H's conjugacy class, as ``_conjugacy_class`` gives it, and generators of N_G(H).
 
@@ -253,7 +231,7 @@ def _class_and_normaliser(
     outside H generate it too: no element of G is tested, and no join taken.
     """
     schreier: list[int] = []
-    cls = _conjugacy_class(G, bits, gens, schreier)
+    cls = _conjugacy_class(G, bits, gens, conjugators, schreier, images)
     return cls, tuple(gens) + tuple(x for x in dict.fromkeys(schreier) if not bits >> x & 1)
 
 
@@ -351,7 +329,8 @@ def all_subgroups(
     of each N_G(R)-orbit only.  The generators of N_G(R) come from the
     Schreier elements of R's class BFS (``_class_and_normaliser``), and each
     orbit is a BFS of atoms over them, one conjugation per atom and
-    generator.  Raises OrderCapExceeded once more than
+    generator.  The class BFS's images and normaliser generators are cached
+    for ``lattice_conjugation``.  Raises OrderCapExceeded once more than
     ``max_subgroups`` are known (lattice explosion guard), and
     TimeBudgetExceeded when ``time.monotonic()`` passes ``deadline`` at the
     start of a representative's joins; either way it caches nothing.
@@ -364,9 +343,11 @@ def all_subgroups(
     G.require_dense()
     subs: dict[int, tuple[int, ...]] = {1: ()}
     reps: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+    by_generator = _conjugators(G)
+    images = {1: (1,) * len(by_generator)}
 
     def add_class(bits, gens):
-        cls, norm_gens = _class_and_normaliser(G, bits, gens)
+        cls, norm_gens = _class_and_normaliser(G, bits, gens, by_generator, images)
         subs.update(cls)
         reps.append((bits, gens, norm_gens))
         if len(subs) > max_subgroups:
@@ -410,8 +391,25 @@ def all_subgroups(
                 add_class(j, h_gens + (c_gen,))
     out = [Subgroup(G, b, g) for b, g in subs.items()]
     out.sort(key=lambda s: (s.order, s.bits))
+    gens = tuple(g for g, _, _ in by_generator)
+    normalisers = {1: gens} | {b: norm_gens for b, _, norm_gens in reps}
     G._cache["all_subgroups"] = out
+    G._cache["lattice_conjugation"] = gens, images, normalisers
     return out
+
+
+def lattice_conjugation(G: GroupTable):
+    """What the class BFS of ``all_subgroups`` learned about conjugation, for
+    the lattice it cached: ``(gens, images, normalisers)``.
+
+    ``gens`` are G's distinct generators.  ``images[b]`` holds, for each
+    subgroup bitset b of the lattice, the bitsets of g H g^-1 for g in
+    ``gens``, in that order.  ``normalisers`` maps the bitset of each class
+    representative the lattice chose, in the order the classes were found,
+    to generators of its normaliser: the representative's generators and the
+    Schreier elements outside it, or ``gens`` for the trivial subgroup.
+    """
+    return G._cache["lattice_conjugation"]
 
 
 def subgroup_conjugacy_classes(G: GroupTable, subs) -> list[list[Subgroup]]:

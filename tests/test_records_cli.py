@@ -108,6 +108,23 @@ def test_golden_search_records_a4wr2():
     assert search_records_text((G, search_offenders(G))) == GOLDEN_A4WR2.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "name, golden",
+    [("alt:6", "golden_a6.jsonl"), ("gl2:5", "golden_gl25.jsonl")],
+    ids=["A6", "GL2(5)"],
+)
+def test_golden_search_records_named(name, golden):
+    # the default searches of A6 (32 classes, 8 with H1 and H2 conjugate) and
+    # GL2(5) (15 classes), pinned byte for byte
+    from ingleton.constructions import parse_named
+    from ingleton.groups import build_group
+    from ingleton.search import search_offenders
+
+    G = build_group(parse_named(name))
+    path = Path(__file__).resolve().parent / "data" / golden
+    assert search_records_text((G, search_offenders(G))) == path.read_text(encoding="utf-8")
+
+
 def test_sparse_groups_verify_like_dense(monkeypatch):
     # past groups.DEFAULT_ORDER_CAP a group multiplies concrete elements; verify,
     # the class size included, must read the same either way
@@ -308,6 +325,25 @@ def test_verify_record_raises_word_powers_by_squaring(monkeypatch):
     (huge, huge_products), (plain, plain_products) = results
     assert huge == plain and huge and isinstance(huge, list)
     assert huge_products - plain_products <= 2 * (10**12).bit_length()
+
+
+def test_verify_record_refuses_a_huge_degree_before_padding():
+    # a degree of 30 million once padded every generator before any check;
+    # now it is a mismatch that allocates next to nothing
+    import tracemalloc
+
+    record = json.loads(json.dumps(SHIPPED_RECORD))
+    record["group"]["degree"] = 30_000_000
+    tracemalloc.start()
+    try:
+        problems = verify_record(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(problems) == 1 and problems[0].startswith("rebuild failed: ")
+    assert "degree" in problems[0]
+    assert peak < 1 << 20
+    assert verify_record(SHIPPED_RECORD) == []
 
 
 def test_verify_record_rejects_a_non_integer_parameter():

@@ -13,8 +13,10 @@ from ingleton.search import (
     ALL_FILTERS,
     REQUIRE_LEVELS,
     SearchOptions,
+    _ConjugationRows,
     _bands,
     _offending_h4,
+    _orbit,
     _orbit_of,
     _pair_tables,
     canonical_class,
@@ -27,7 +29,7 @@ from ingleton.subgroups import (
     all_subgroups,
     conjugate_bits,
     conjugate_subgroup,
-    conjugation_table,
+    lattice_conjugation,
     membership_masks,
     normal_subgroups,
     subgroup_conjugacy_classes,
@@ -194,11 +196,16 @@ def test_class_size_of_every_corpus_record(path):
 RELABELLED_S5 = relabelled(expand_named("sym", (5,)), (2, 4, 0, 3, 1))
 
 
-def lattice_tables(G):
-    """The lattice of G with its membership masks and conjugation table."""
+def lattice_rows(G):
+    """The lattice of G, its bits -> index map and its conjugation rows."""
     subs = all_subgroups(G)
-    has = membership_masks(G.n, [s.bits for s in subs])
-    return subs, has, conjugation_table(G, subs, has)
+    index_of = {s.bits: i for i, s in enumerate(subs)}
+    return subs, index_of, _ConjugationRows(G, index_of)
+
+
+def brute_force_rows(G, bits, index_of):
+    """``rows[g][i]``: the index of g Hi g^-1, conjugating every bitset directly."""
+    return [[index_of[conjugate_bits(G, b, g)] for b in bits] for g in range(G.n)]
 
 
 @pytest.mark.parametrize(
@@ -216,24 +223,28 @@ def lattice_tables(G):
     ids=["trivial", "C2", "S4", "A5", "S5", "A4wr2", "PSL2(8)", "S5-relabelled"],
 )
 def test_conjugation_table_matches_conjugate_bits(spec):
-    # generator rows read off the membership masks and rows composed along
-    # the BFS tree agree with conjugating every bitset directly, down to the
-    # one-subgroup lattice of the trivial group; the masks rule leans on the
-    # lattice's (order, bits) sort, which the relabelled group reshuffles
+    # the generator rows read off the class BFS's images, and the row of
+    # every element composed along the BFS tree, agree with conjugating every
+    # bitset directly, down to the one-subgroup lattice of the trivial group;
+    # the relabelled group reshuffles the lattice's (order, bits) sort
     G = build_group(spec)
-    subs, _, conj = lattice_tables(G)
-    bits = [s.bits for s in subs]
-    index_of = {b: i for i, b in enumerate(bits)}
-    assert len(conj) == G.n
+    subs, index_of, conj = lattice_rows(G)
+    expected = brute_force_rows(G, list(index_of), index_of)
+    gens = lattice_conjugation(G)[0]
+    assert gens == tuple(dict.fromkeys(G.gen_ids))
+    assert [list(row) for row in conj.generators] == [expected[g] for g in gens]
     for g in range(G.n):
-        assert list(conj[g]) == [index_of[conjugate_bits(G, b, g)] for b in bits]
+        assert list(conj[g]) == expected[g]
 
 
 def test_conjugation_table_of_a_lone_subgroup():
-    # a one-subgroup list closed under conjugation: every row is (0,)
-    G = build_group(named("sym", 4))
-    lone = [trivial_subgroup(G)]
-    assert [list(row) for row in conjugation_table(G, lone, membership_masks(G.n, [1]))] == [[0]] * G.n
+    # the trivial group's lattice is one subgroup, which its generator (the
+    # identity) fixes and normalises
+    G = build_group(perm_spec([[0]], 1))
+    subs, index_of, conj = lattice_rows(G)
+    assert subs == [trivial_subgroup(G)]
+    assert conj.generators == [(0,)] and conj[0] == (0,)
+    assert lattice_conjugation(G) == ((0,), {1: (1,)}, {1: (0,)})
 
 
 @pytest.mark.parametrize(
@@ -254,7 +265,8 @@ def test_pair_tables_match_pairwise_definitions(spec):
     # partner filters.  A mask that is too large only slows the search, so
     # the search's output cannot catch one.
     G = build_group(spec)
-    subs, has, _ = lattice_tables(G)
+    subs = all_subgroups(G)
+    has = membership_masks(G.n, [s.bits for s in subs])
     S = len(subs)
     meet = [[(a.bits & b.bits).bit_count() for b in subs] for a in subs]
     apart = [[meet[i][j] not in (subs[i].order, subs[j].order) for j in range(S)] for i in range(S)]
@@ -361,14 +373,73 @@ def test_offending_h4_sets_are_exact(monkeypatch, spec, uneven_pairs, disable):
     ids=["S4", "A5", "S5", "PSL2(7)", "A4wr2"],
 )
 def test_conjugation_table_orbits_are_the_subgroup_classes(spec):
-    # the search reads classes and normality off the table; check both against
-    # bitset conjugation and against normal closures that never see the lattice
+    # the search reads classes and normality off the orbits of the generator
+    # rows; check both against bitset conjugation and against normal closures
+    # that never see the lattice, and that each class holds one of the
+    # representatives the lattice chose
     G = build_group(spec)
-    subs, _, conj = lattice_tables(G)
+    subs, _, conj = lattice_rows(G)
     bits = [s.bits for s in subs]
-    orbits = {frozenset(bits[c[i]] for c in conj) for i in range(len(bits))}
+    orbits = set()
+    for i in range(len(bits)):
+        orbit = {i}
+        while True:
+            step = orbit | {row[j] for row in conj.generators for j in orbit}
+            if step == orbit:
+                break
+            orbit = step
+        orbits.add(frozenset(bits[j] for j in orbit))
     assert orbits == {frozenset(s.bits for s in cls) for cls in subgroup_conjugacy_classes(G, subs)}
     assert sorted(next(iter(o)) for o in orbits if len(o) == 1) == sorted(N.bits for N in normal_subgroups(G))
+    representatives = lattice_conjugation(G)[2]
+    assert sorted(len(o & representatives.keys()) for o in orbits) == [1] * len(orbits)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("psl2", 7), named("wreath2", "alt", 4)],
+    ids=["S4", "A5", "PSL2(7)", "A4wr2"],
+)
+def test_normaliser_rows_give_the_normaliser_orbits(spec):
+    # the search takes the N_G(H1)-orbits of H2 candidates from the rows of
+    # H1's cached normaliser generators; at every class representative they
+    # must be the orbits of the whole stabiliser, found by brute force
+    G = build_group(spec)
+    subs, index_of, conj = lattice_rows(G)
+    bits = list(index_of)
+    expected = brute_force_rows(G, bits, index_of)
+    for b, norm_gens in lattice_conjugation(G)[2].items():
+        stabiliser = [g for g in range(G.n) if expected[g][index_of[b]] == index_of[b]]
+        brute = {frozenset(expected[g][i] for g in stabiliser) for i in range(len(bits))}
+        rows = [conj[x] for x in norm_gens]
+        marks = bytearray(len(bits))
+        got = set()
+        for i in range(len(bits)):
+            if not marks[i]:
+                marks[i] = 1
+                got.add(frozenset(_orbit([i], rows, marks)))
+        assert got == brute
+
+
+@pytest.mark.parametrize(
+    "spec, disable",
+    [
+        (named("sym", 5), ()),
+        (named("sym", 5), ("all",)),
+        (named("wreath2", "alt", 4), ()),
+        (named("gl2", 5), ()),
+    ],
+    ids=["S5", "S5-no-filter", "A4wr2", "GL2(5)"],
+)
+def test_class_size_and_key_match_the_orbit_of_all_of_g(spec, disable):
+    # a hit's orbit is a BFS under the generator rows; _orbit_of conjugates
+    # by every element of G, so its length and least member must match
+    G = build_group(spec)
+    classes = search_offenders(G, SearchOptions(disable_filters=disable))
+    assert classes
+    for cls in classes:
+        orbit = _orbit_of(G, cls.key)
+        assert (cls.size, cls.key) == (len(orbit), min(orbit))
 
 
 def class_summary(classes):
@@ -482,13 +553,14 @@ def test_time_budget_checked_inside_the_lattice():
 
 def test_time_budget_checked_before_the_conjugation_table(monkeypatch, s5_group):
     # with the lattice cached, an exhausted budget stops the search at the
-    # check after the lattice, before any later phase runs
+    # check after the lattice, before the conjugation rows or any later
+    # phase is built
     all_subgroups(s5_group)
 
     def unreachable(*args):
-        raise AssertionError("conjugation_table ran after the budget was exhausted")
+        raise AssertionError("the conjugation rows were built after the budget was exhausted")
 
-    monkeypatch.setattr("ingleton.search.conjugation_table", unreachable)
+    monkeypatch.setattr("ingleton.search._ConjugationRows", unreachable)
     with pytest.raises(TimeBudgetExceeded) as info:
         search_offenders(s5_group, SearchOptions(time_budget=0.0))
     assert info.value.partial == []

@@ -22,6 +22,7 @@ from ingleton.subgroups import (
     is_product_subgroup,
     join,
     join_bits,
+    lattice_conjugation,
     least_prime_factor,
     normal_subgroups,
     product_set_size,
@@ -441,6 +442,26 @@ def test_normaliser_from_schreier_elements_is_the_stabiliser(spec):
             stabiliser = [g for g in range(G.n) if conjugate_bits(G, H.bits, g) == H.bits]
             assert bits_to_ids(closure_ids(G, norm_gens)) == stabiliser
             assert len(stabiliser) == G.n // len(cls)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [named("sym", 4), named("alt", 5), named("psl2", 7), named("wreath2", "alt", 4)],
+    ids=["S4", "A5", "PSL2(7)", "A4wr2"],
+)
+def test_cached_normaliser_generators_generate_the_stabiliser(spec):
+    # all_subgroups caches generators of N_G(R) for each class representative
+    # R, the trivial subgroup included; the search acts with them on H2
+    # candidates, so they must generate the whole stabiliser of R
+    G = build_group(spec)
+    subs = all_subgroups(G)
+    gens, images, normalisers = lattice_conjugation(G)
+    assert len(normalisers) == len(subgroup_conjugacy_classes(G, subs))
+    assert set(images) == {s.bits for s in subs}
+    assert normalisers[1] == gens
+    for b, norm_gens in normalisers.items():
+        stabiliser = [g for g in range(G.n) if conjugate_bits(G, b, g) == b]
+        assert bits_to_ids(closure_ids(G, norm_gens)) == stabiliser
 
 
 @pytest.mark.parametrize(
