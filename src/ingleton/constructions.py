@@ -341,13 +341,20 @@ def _family_matrices(F: FieldTable, zeta: int) -> dict[str, Mat3]:
     }
 
 
+# The largest family order built.  q = 32 (order 1,015,808) is the largest
+# field size under it; q = 64 would make order 16,515,072.
+MAX_FAMILY_ORDER = 1 << 20
+
+
 def supersoluble_family(q: int, allow_small: bool = False, zeta: int | None = None) -> FamilyQuadruple:
     """Build the order q^3(q-1) upper-triangular matrix group over GF(q) with
     its four designated Frobenius subgroups of order q(q-1).
 
     Needs q >= 4 so the 1/(1-zeta) entries exist and the result violates the
     Ingleton inequality; q = 3 is allowed behind ``allow_small`` to exercise
-    the non-offender boundary, and q = 2 is structurally impossible.
+    the non-offender boundary, and q = 2 is structurally impossible.  An
+    order past ``MAX_FAMILY_ORDER`` raises OrderCapExceeded before the field
+    table or any generator is built.
     """
     if q == 2:
         raise FieldTooSmall("q=2 has zeta=1, which makes the 1/(1-zeta) entries undefined")
@@ -355,6 +362,11 @@ def supersoluble_family(q: int, allow_small: bool = False, zeta: int | None = No
         raise FieldTooSmall("q=3 yields ratio 8/9 < 1; pass allow_small=True to build it anyway")
     if q < 2:
         raise FieldTooSmall(f"q={q} is not a field size")
+    order = q**3 * (q - 1)
+    if order > MAX_FAMILY_ORDER:
+        raise OrderCapExceeded(
+            f"q={q} gives order q^3(q-1) = {order}, past the family's cap {MAX_FAMILY_ORDER}"
+        )
     F = field_create(q)
     if zeta is None:
         zeta = F.zeta
@@ -363,7 +375,6 @@ def supersoluble_family(q: int, allow_small: bool = False, zeta: int | None = No
     elif F.element_order(zeta) != q - 1:
         raise BadParams(f"{zeta} is not a primitive element of GF({q})")
     mats = _family_matrices(F, zeta)
-    order = q**3 * (q - 1)
     spec = MatrixGenerators(q, (mats["u1"], mats["u4"], mats["t"]))
     G = build_group(spec, cap=order)
     if G.n != order:

@@ -158,6 +158,8 @@ class SearchOptions:
             )
         if self.time_budget is not None and math.isnan(self.time_budget):
             raise BadParams("time budget is NaN; give seconds, 0 or inf")
+        if self.time_budget is not None and self.time_budget < 0:
+            raise BadParams(f"time budget {self.time_budget:g} is negative; give seconds, 0 or inf")
 
     def filter_enabled(self, name: str) -> bool:
         return "all" not in self.disable_filters and name not in self.disable_filters

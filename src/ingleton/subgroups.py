@@ -6,10 +6,16 @@ and the bitset doubles as the canonical dedup key since element ids are
 canonical per group.
 
 The lattice is enumerated one conjugacy class at a time (Neubüser's cyclic
-extension).  Conjugation commutes with joins, ``<H^g, C^g> = <H, C>^g``, so
-only one representative R per class is joined with cyclic subgroups, and
-only with one cyclic atom per N_G(R)-orbit: for n in N_G(R) the join
-<R, C^n> is <R, C>^n, whose class is already known.  The rest of each class
+extension).  Only the zuppos, the cyclic subgroups of prime-power order, are
+joined: an element is the product of commuting prime-power parts that are
+powers of it, so every subgroup is generated by its zuppos.  A zuppo <c> of
+order p^e is joined to R only when R holds its maximal subgroup <c^p>
+(always, for e = 1): a subgroup is still reached by joining its zuppos in
+ascending order, since <c^p> is a smaller zuppo of it and so comes first.
+Conjugation commutes with joins, ``<H^g, C^g> = <H, C>^g``, and with the
+p-th-power rule, so only one representative R per class is joined, and only
+with one zuppo per N_G(R)-orbit: for n in N_G(R) the join <R, C^n> is
+<R, C>^n, whose class is already known.  The rest of each class
 comes from a BFS over G's generators that carries each conjugate's element
 ids through ``G.conj_perm`` and sums one precomputed power of two per id
 into its bitset, a C-level step per member instead of a join closure.
@@ -320,20 +326,28 @@ def all_subgroups(
 ) -> list[Subgroup]:
     """Every subgroup of G, by cyclic extension of conjugacy-class representatives.
 
-    Any subgroup is a join of cyclic subgroups of its own elements, so joining
-    known subgroups with cyclic atoms until a fixed point reaches all of them.
+    Any subgroup is generated by its zuppos, the cyclic subgroups of
+    prime-power order among its own (each element is a product of commuting
+    prime-power parts, each a power of the element), so the zuppos seed the
+    classes and are the only atoms joined.  A zuppo <c> of order p^e is
+    joined to R only when R holds <c^p> (the trivial group when e = 1,
+    computed once per zuppo as p - 1 table products): a subgroup H is still
+    reached, as the chain of joins of its zuppos in ascending order, because
+    <c^p> is a smaller zuppo of H and so is already joined when <c> comes.
     Since ``<H^g, C^g> = <H, C>^g``, only the first subgroup R found in each
     conjugacy class is joined with the atoms, and a new class enters whole:
-    if H = R^g, then <H, C> is conjugate to the join <R, C^(g^-1)>.  For n in
-    N_G(R) the join <R, C^n> is <R, C>^n, so R is joined with the first atom
-    of each N_G(R)-orbit only.  The generators of N_G(R) come from the
-    Schreier elements of R's class BFS (``_class_and_normaliser``), and each
-    orbit is a BFS of atoms over them, one conjugation per atom and
-    generator.  The class BFS's images and normaliser generators are cached
-    for ``lattice_conjugation``.  Raises OrderCapExceeded once more than
-    ``max_subgroups`` are known (lattice explosion guard), and
-    TimeBudgetExceeded when ``time.monotonic()`` passes ``deadline`` at the
-    start of a representative's joins; either way it caches nothing.
+    if H = R^g, then <H, C> is conjugate to the join <R, C^(g^-1)>, and
+    c^p lies in H iff (c^(g^-1))^p lies in R, so the rule passes to R
+    alike.  For n in N_G(R) the join <R, C^n> is <R, C>^n, so R is joined
+    with the first atom of each N_G(R)-orbit only.  The generators of N_G(R)
+    come from the Schreier elements of R's class BFS
+    (``_class_and_normaliser``), and each orbit is a BFS of atoms over them,
+    one conjugation per atom and generator.  The class BFS's images and
+    normaliser generators are cached for ``lattice_conjugation``.  Raises
+    OrderCapExceeded once more than ``max_subgroups`` are known (lattice
+    explosion guard), and TimeBudgetExceeded when ``time.monotonic()``
+    passes ``deadline`` at the start of a representative's joins; either way
+    it caches nothing.
     """
     cached = G._cache.get("all_subgroups")
     if cached is not None:
@@ -355,14 +369,21 @@ def all_subgroups(
                 f"subgroup count passed the cap {max_subgroups} (group of order {G.n})"
             )
 
-    atoms = cyclic_atoms(G)
-    # atom_of[x]: the index of the atom that element x generates
+    mt, inv, cyc = G.mul_table, G.inv, G.cyclic_subgroups()
+    atoms = [atom for atom in cyclic_atoms(G) if is_prime_power(atom[1])]  # the zuppos
+    # atom_of[x]: the index of the zuppo that element x generates
     index = {bits: k for k, (bits, _, _) in enumerate(atoms)}
-    atom_of = [index.get(bits, 0) for bits in G.cyclic_subgroups()]
+    atom_of = [index.get(bits, 0) for bits in cyc]
+    # below[k]: the maximal subgroup <c^p> of zuppo k = <c> of order p^e
+    below = []
+    for _, order, c in atoms:
+        x = c
+        for _ in range(least_prime_factor(order) - 1):
+            x = mt[x][c]
+        below.append(cyc[x])
     for bits, _, gen in atoms:
         if bits not in subs:
             add_class(bits, (gen,))
-    mt, inv = G.mul_table, G.inv
     head = 0
     while head < len(reps):
         if deadline is not None and time.monotonic() > deadline:
@@ -375,7 +396,7 @@ def all_subgroups(
         conjugators = [(mt[g], inv[g]) for g in norm_gens]
         joined = bytearray(len(atoms))  # atoms in the N_G(R)-orbit of a joined one
         for k, (c_bits, _, c_gen) in enumerate(atoms):
-            if joined[k] or c_bits & h_bits == c_bits:
+            if joined[k] or c_bits & h_bits == c_bits or below[k] & h_bits != below[k]:
                 continue
             # the N_G(R)-orbit of atom k, by a BFS over N_G(R)'s generators
             joined[k] = 1

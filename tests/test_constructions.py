@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ingleton.constructions import (
+    MAX_FAMILY_ORDER,
     NAMED_CONSTRUCTORS,
     construct_named,
     dicyclic_spec,
@@ -154,6 +155,26 @@ def test_family_clauses_and_ratio(q):
     assert fq.group.n == q**3 * (q - 1)
     assert {h.order for h in fq.quadruple.subs} == {q * (q - 1)}
     assert fq.raised_cap == (fq.group.n > 2048)
+
+
+def test_family_order_cap_is_checked_before_the_field_is_built(monkeypatch):
+    # q = 64 (order 16,515,072) once ran past a minute; q = 32 is the largest
+    # field size under the cap
+    assert 32**3 * 31 <= MAX_FAMILY_ORDER < 37**3 * 36
+
+    def no_field(q):
+        raise AssertionError("a field table was built")
+
+    monkeypatch.setattr("ingleton.constructions.field_create", no_field)
+    tracemalloc.start()
+    try:
+        for q in (37, 64, 10**6):
+            with pytest.raises(OrderCapExceeded, match="q\\^3"):
+                supersoluble_family(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_family_terms_q5():

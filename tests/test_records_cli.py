@@ -211,6 +211,18 @@ def test_cli_search_nan_budget_is_a_usage_error(capsys):
     assert "NaN" in capsys.readouterr().err
 
 
+def test_cli_search_negative_budget_is_a_usage_error(capsys):
+    assert run_cli("search", "--named", "sym:4", "--budget", "-1") == 2
+    captured = capsys.readouterr()
+    assert "negative" in captured.err and captured.out == ""
+
+
+def test_cli_family_past_the_order_cap_is_a_usage_error(capsys):
+    assert run_cli("family", "64") == 2
+    captured = capsys.readouterr()
+    assert "16515072" in captured.err and captured.out == ""
+
+
 def test_cli_search_budget_exit(capsys):
     assert run_cli("search", "--named", "alt:6", "--budget", "0") == 3
     out = capsys.readouterr().out.strip().splitlines()

@@ -128,6 +128,13 @@ def test_search_options_reject_a_nan_budget():
         assert SearchOptions(time_budget=budget).time_budget == budget
 
 
+def test_search_options_reject_a_negative_budget():
+    # a negative budget once ran to an empty, incomplete summary with exit 3
+    for budget in (-1, -1e-9, float("-inf")):
+        with pytest.raises(BadParams, match="negative"):
+            SearchOptions(time_budget=budget)
+
+
 def test_canonical_class_idempotent_and_orbit_constant(s5_classes, s5_group):
     rep = s5_classes[0].representative
     canon = canonical_class(rep)

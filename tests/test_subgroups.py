@@ -1,8 +1,9 @@
 import itertools
+import random
 
 import pytest
 
-from ingleton.constructions import dicyclic_spec, expand_named, supersoluble_family
+from ingleton.constructions import dicyclic_spec, expand_named, metacyclic_spec, supersoluble_family
 from ingleton.errors import OrderCapExceeded, ParentMismatch
 from ingleton.groups import bits_to_ids, build_group, closure_ids, generating_set
 from ingleton.permutations import parse_cycles
@@ -233,6 +234,7 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(build_group(named("alt", 5)))) == 59
     assert len(all_subgroups(build_group(named("sym", 5)))) == 156
     assert len(all_subgroups(build_group(named("psl2", 7)))) == 179
+    assert len(all_subgroups(build_group(named("sym", 6)))) == 1455  # OEIS A005432
 
 
 def test_a6_lattice_size(a6_group):
@@ -269,12 +271,62 @@ def test_all_subgroups_matches_subset_bruteforce():
         dicyclic_spec(2),
         product(named("cyclic", 2), named("sym", 4)),
         cyclic_product(2, 2, 2, 2),  # abelian: every conjugacy class is a singleton
+        # composite element orders, reached only as joins of zuppos, and
+        # zuppos of order p^2 or more, joined only to subgroups holding <c^p>
+        named("cyclic", 36),
+        cyclic_product(3, 6),
+        named("dihedral", 12),
+        product(named("sym", 3), named("cyclic", 4)),
+        cyclic_product(2, 8),
+        metacyclic_spec(9, 6, 2),
     ],
-    ids=["S4", "A5", "Q8", "C2xS4", "C2^4"],
+    ids=["S4", "A5", "Q8", "C2xS4", "C2^4", "C36", "C3xC6", "D24", "S3xC4", "C2xC8", "M(9,6,2)"],
 )
 def test_all_subgroups_matches_naive_join_closure(spec):
     G = build_group(spec)
     assert {s.bits for s in all_subgroups(G)} == naive_all_subgroups(G)
+
+
+def divisor_count(n):
+    return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def divisor_sum(n):
+    return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def test_subgroup_counts_of_cyclic_and_dihedral_groups():
+    # C_n has one subgroup per divisor of n; D_n (order 2n) has those of its
+    # rotations and, for each d | n, the n/d conjugates of a D_d, sigma(n) in all
+    for n in range(1, 61):
+        assert len(all_subgroups(build_group(named("cyclic", n)))) == divisor_count(n), n
+    for n in range(1, 31):
+        assert len(all_subgroups(build_group(named("dihedral", n)))) == divisor_count(n) + divisor_sum(n), n
+
+
+@pytest.mark.parametrize("name, params", [("wreath2", ("alt", 4)), ("psl2", (8,))], ids=["A4wr2", "PSL2(8)"])
+def test_join_count_independent_of_element_numbering(name, params, monkeypatch):
+    # one join per class representative R and N_G(R)-orbit of the zuppos it
+    # may take: conjugation-invariant, so relabelling the points, and hence
+    # the element ids, the representatives and the Schreier elements, must
+    # not change it
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return join_bits(*args, **kwargs)
+
+    monkeypatch.setattr("ingleton.subgroups.join_bits", counted)
+    plain = expand_named(name, params)
+    counts = []
+    for seed in (1, 2):
+        sigma = list(range(plain.degree))
+        random.Random(seed).shuffle(sigma)
+        G = build_group(relabelled(plain, sigma))
+        calls.clear()
+        all_subgroups(G)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_join_bits_matches_generator_closure():
