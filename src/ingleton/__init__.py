@@ -64,7 +64,6 @@ from .search import (
     ALL_FILTERS,
     OffenderClass,
     SearchOptions,
-    canonical_class,
     minimal_constraints,
     search_offenders,
 )

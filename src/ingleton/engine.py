@@ -164,7 +164,11 @@ def evaluate(
     with_generative: bool = True,
     with_irreducible: bool = False,
     with_indomitable: bool = False,
+    generative: bool | None = None,
 ) -> IngletonReport:
+    """The terms and flags of Q; ``generative``, when given, is taken as Q's
+    generativity in place of checking it (the search reads it off the
+    lattice)."""
     G = Q.group
     t = ingleton_terms(Q)
     report = IngletonReport(
@@ -176,7 +180,7 @@ def evaluate(
         offender=t.lhs < t.rhs,
     )
     if with_generative or with_irreducible or with_indomitable:
-        report.generative = is_generative(Q)
+        report.generative = is_generative(Q) if generative is None else generative
     if with_irreducible or with_indomitable:
         normals = [N for N in normal_subgroups(G) if N.order > 1]
         # the core of a role is the largest normal subgroup of G inside it

@@ -21,12 +21,27 @@ orbit of i under them is Hi's class, whose representative is the one the
 lattice chose, and "no earlier" compares representative indices; a class of
 one member is a normal subgroup.  N_G(H1) acts through the rows of the
 normaliser generators the lattice kept for H1, each composed along G's BFS
-tree from the generator rows on first use.  A hit's orbit is a BFS of the
-quadruple under the generator rows, each conjugate then taken under the two
-role swaps; ``seen`` holds every member of each orbit found, as the packed
-index ((i1 S + i2) S + i3) S + i4, and the class representative is the
-least member by bitset tuple.  The cyclic subgroups are the trivial one and
-the lattice's atoms (``subgroups.cyclic_atoms``).
+tree from the generator rows on first use.  The cyclic subgroups are the
+trivial one and the lattice's atoms (``subgroups.cyclic_atoms``).
+
+Hits by orbit-stabiliser.  A hit (H1, H2, H3, H4) has H1 = r1, its class
+representative, and rep(H2) = r2 >= r1.  The members of its orbit with r1
+first are the N_G(r1)-orbit O1 of the triples (H2, H3, H4) and
+(H2, H4, H3), and, when H2 is in r1's class (r2 = r1), also of the swapped
+member v (H2, H1, H3, H4) and its H3<->H4 swap, where v conjugates H2 to r1
+along a BFS tree of the class.  The loops reach no other member: one with
+r2 > r1 first has its second role in r1's class, which comes earlier.  So
+``seen`` holds the triples of O1 only, and only while H1 is r1.  Each
+conjugate of r1 leads as many members as r1, so the class size is
+|class(r1)| |O1|, and twice that when H2's class is another one: the
+H1<->H2 swap maps the members led by r1's class onto those led by H2's.
+The key is the least member by bitset tuple.  Its first role is X, the
+least-bitset subgroup of the two classes, found once per class, and its
+members with X first are those with X's representative first, conjugated
+onto X along the class tree: O1 when X is in r1's class, and otherwise the
+N_G(r2)-orbit of v (H2, H1, H3, H4) and its H3<->H4 swap, v conjugating H2
+to r2.  The four subgroups generate G iff G alone lies above all of them,
+which three ANDs of the ``above`` masks decide.
 
 Each role criterion depends on one subgroup and each pair criterion on two
 subgroups and the order of their meet, so all of them are decided once, up
@@ -37,15 +52,15 @@ and ``meets[i]`` the members of ``apart[i]`` that meet Hi nontrivially.  The
 loops walk intersections of these masks; a disabled filter leaves its mask
 full.  ``_pair_tables`` builds them without visiting a pair: ``has[x]``,
 the mask of the subgroups holding element x, transposes the lattice once;
-the AND of ``has`` over Hi's generators is the set above Hi, that set
-transposed the set below, and the OR of ``has`` over Hi's nonidentity
-elements the set meeting Hi.  In
-place of a table of intersection orders, ``levels[i]`` holds, for each order
-w > 1 of a subgroup of Hi, ascending, the mask ``ge`` of the k with
-|Hi ^ Hk| >= w.  It is the OR of the sets above K over the K <= Hi with
-|K| >= w: Hi ^ Hk is such a K, and a k above such a K meets Hi in at least
-|K| elements.  Walking Hi's subgroups by falling order builds every level of
-Hi at one OR per containment pair.  What stays in the loops is the
+the AND of ``has`` over Hi's generators is the set ``above`` Hi, and that
+set transposed the set below.  In place of a table of intersection orders,
+``levels[i]`` holds, for each order w > 1 of a subgroup of Hi, ascending,
+the mask ``ge`` of the k with |Hi ^ Hk| >= w.  It is the OR of the sets
+above K over the K <= Hi with |K| >= w: Hi ^ Hk is such a K, and a k above
+such a K meets Hi in at least |K| elements.  Walking Hi's subgroups by
+falling order builds every level of Hi at one OR per containment pair.  The
+first level of Hi is the set meeting it, as a nontrivial meet has at least
+its least order.  What stays in the loops is the
 join-order test of ``product-h1h2`` once per (H1, H2), which only looks at
 the subgroups of order |H1H2|.
 
@@ -97,7 +112,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import cache, reduce
-from operator import and_, or_
+from operator import and_
 
 from .engine import IngletonReport, Quadruple, evaluate
 from .errors import BadParams, TimeBudgetExceeded
@@ -106,7 +121,6 @@ from .subgroups import (
     DEFAULT_SUBGROUP_CAP,
     Subgroup,
     all_subgroups,
-    conjugate_bits,
     cyclic_atoms,
     is_prime_power,
     join_bits,
@@ -178,25 +192,6 @@ class OffenderClass:
         return self.representative.bits_tuple()
 
 
-def _orbit_of(G: GroupTable, tup: tuple[int, int, int, int]):
-    """All quadruple bit-tuples reachable by conjugation and the two swaps."""
-    orbit = set()
-    for g in range(G.n):
-        c1, c2, c3, c4 = (conjugate_bits(G, b, g) for b in tup)
-        orbit.add((c1, c2, c3, c4))
-        orbit.add((c2, c1, c3, c4))
-        orbit.add((c1, c2, c4, c3))
-        orbit.add((c2, c1, c4, c3))
-    return orbit
-
-
-def canonical_class(Q: Quadruple) -> Quadruple:
-    """Lexicographically least member of Q's orbit; idempotent by construction."""
-    G = Q.group
-    best = min(_orbit_of(G, Q.bits_tuple()))
-    return Quadruple(*(Subgroup(G, b) for b in best))
-
-
 def minimal_constraints(Q: Quadruple) -> bool:
     """Generation constraints every offender in a minimal violator satisfies:
     <Hi,Hj> = G for all pairs, and <Hk,Hij> = G whenever {i,j} != {3,4}."""
@@ -264,15 +259,37 @@ def _orbit(start: list[int], rows, marks: bytearray) -> list[int]:
     return start
 
 
+def _triple_orbit(starts, rows, S: int):
+    """The orbit of the index triples ``starts`` under the conjugation
+    ``rows``, by a BFS: ``(triples, packed)``, the triples in the order found
+    and the set of them packed as (a S + b) S + c."""
+    triples, packed = [], set()
+    for a, b, c in starts:
+        p = (a * S + b) * S + c
+        if p not in packed:
+            packed.add(p)
+            triples.append((a, b, c))
+    for a, b, c in triples:
+        for row in rows:
+            x, y, z = row[a], row[b], row[c]
+            p = (x * S + y) * S + z
+            if p not in packed:
+                packed.add(p)
+                triples.append((x, y, z))
+    return triples, packed
+
+
 def _pair_tables(subs: list[Subgroup], has: list[int], f_contain, f_meets):
-    """The partner masks and intersection levels of the lattice ``subs``.
+    """The partner masks, intersection levels and upper sets of the lattice
+    ``subs``: ``(apart, meets, levels, above)``.
 
     ``apart[i]`` holds every j where neither of Hi, Hj contains the other (all
     j with ``f_contain`` off), and ``meets[i]`` the members of ``apart[i]``
     that meet Hi nontrivially (all of ``apart[i]`` with ``f_meets`` off).
     ``levels[i]`` has one ``(w, ge)`` per order w > 1 of a subgroup of Hi,
-    ascending, where ``ge`` is the mask of the k with |Hi ^ Hk| >= w.  ``has``
-    is ``membership_masks`` of the lattice, which is sorted by order.  The
+    ascending, where ``ge`` is the mask of the k with |Hi ^ Hk| >= w.
+    ``above[i]`` is the mask of the subgroups containing Hi.  ``has`` is
+    ``membership_masks`` of the lattice, which is sorted by order.  The
     module docstring says how the tables are built.
     """
     S = len(subs)
@@ -302,9 +319,12 @@ def _pair_tables(subs: list[Subgroup], has: list[int], f_contain, f_meets):
     else:
         apart = [full] * S
     if not f_meets:
-        return apart, apart, levels
-    meets = [a & reduce(or_, map(has.__getitem__, bits_to_ids(s.bits & ~1)), 0) for a, s in zip(apart, subs)]
-    return apart, meets, levels
+        return apart, apart, levels, above
+    # a nontrivial Hi ^ Hk has at least the least order w > 1 of a subgroup of
+    # Hi, so the first level of Hi is the set meeting it; the trivial Hi has
+    # no level and meets nothing
+    meets = [a & level[0][1] if level else 0 for a, level in zip(apart, levels)]
+    return apart, meets, levels, above
 
 
 def _bands(level, full: int):
@@ -451,7 +471,7 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
             h12_mask |= 1 << i
         if not (f_ppc and cyclic[i] and is_prime_power(orders[i])):
             h34_mask |= 1 << i
-    apart, meets, levels = _pair_tables(subs, membership_masks(G.n, bits), f_contain, f_meets)
+    apart, meets, levels, above = _pair_tables(subs, membership_masks(G.n, bits), f_contain, f_meets)
 
     @cache
     def bands(i):
@@ -465,56 +485,97 @@ def search_offenders(G: GroupTable, opts: SearchOptions | None = None) -> list[O
         of_order.setdefault(o, []).append(b)
     check_budget()
 
-    seen: set[int] = set()
     level = REQUIRE_LEVELS.index(opts.require)
+    top = 1 << (S - 1)  # G, last in the lattice sorted by order
+    # inverse_rows[k] undoes gen_rows[k]
+    inverse_rows = []
+    for row in gen_rows:
+        inverse = [0] * S
+        for i, j in enumerate(row):
+            inverse[j] = i
+        inverse_rows.append(inverse)
 
-    SS = S * S
+    @cache
+    def paths(r):
+        """A BFS tree of the class of representative r over the generator
+        rows: ``paths(r)[y]`` holds the k with which applying gen_rows[k] in
+        turn takes r to y."""
+        tree, queue = {r: ()}, [r]
+        for y in queue:
+            for k, row in enumerate(gen_rows):
+                z = row[y]
+                if z not in tree:
+                    tree[z] = tree[y] + (k,)
+                    queue.append(z)
+        return tree
 
-    def member_bits(q):
-        """The bitset tuple of the packed quadruple q."""
-        q12, q34 = divmod(q, SS)
-        return bits[q12 // S], bits[q12 % S], bits[q34 // S], bits[q34 % S]
+    @cache
+    def least(r):
+        """The least-bitset member of the class of representative r: the
+        least index, as a class keeps one order."""
+        return min(paths(r))
+
+    @cache
+    def normaliser_rows(r):
+        """The rows of the generators of N_G(Hr), for a representative r."""
+        return [conj[x] for x in normalisers[bits[r]]]
+
+    seen: set[int] = set()  # the triples (H2, H3, H4) of the hits' orbit members with the loop's H1
 
     def handle_hit(i1, i2, i3, i4):
-        q = ((i1 * S + i2) * S + i3) * S + i4
-        if q in seen:
+        if (i2 * S + i3) * S + i4 in seen:
             return
-        # the conjugates of the quadruple, by a BFS over the generator rows
-        conjugates, reached = [(i1, i2, i3, i4)], {q}
-        for j1, j2, j3, j4 in conjugates:
-            for c in gen_rows:
-                k1, k2, k3, k4 = c[j1], c[j2], c[j3], c[j4]
-                q = ((k1 * S + k2) * S + k3) * S + k4
-                if q not in reached:
-                    reached.add(q)
-                    conjugates.append((k1, k2, k3, k4))
-        # and each of them under the two role swaps
-        orbit = set()
-        for j1, j2, j3, j4 in conjugates:
-            h12, h21 = (j1 * S + j2) * SS, (j2 * S + j1) * SS
-            h34, h43 = j3 * S + j4, j4 * S + j3
-            orbit.update((h12 + h34, h21 + h34, h12 + h43, h21 + h43))
-        seen.update(orbit)
-        canon = min(map(member_bits, orbit))
-        quad = Quadruple(*(Subgroup(G, b) for b in canon))
+        # the swapped member (H2, H1, H3, H4) conjugated so that H2 becomes
+        # its representative r2: its last three roles, both ways round
+        r2 = rep[i2]
+        w1, w3, w4 = i1, i3, i4
+        for k in reversed(paths(r2)[i2]):
+            row = inverse_rows[k]
+            w1, w3, w4 = row[w1], row[w3], row[w4]
+        swapped = [(w1, w3, w4), (w1, w4, w3)]
+        # the members with i1 first, the only ones the loops reach: the
+        # N_G(H1)-orbit of the hit and its H3<->H4 swap, and of the swapped
+        # member when H2 is in H1's class
+        starts = [(i2, i3, i4), (i2, i4, i3)]
+        if r2 == i1:
+            starts += swapped
+        members, packed = _triple_orbit(starts, normaliser_rows(i1), S)
+        seen.update(packed)
+        # each conjugate of H1 leads as many members; if H2 is not one of
+        # them, the H1<->H2 swap maps those onto the members H2's class leads
+        size = class_size[i1] * len(members) * (1 if r2 == i1 else 2)
+        # the key starts with the least-bitset first role x, and its members
+        # are those with x's representative first, conjugated onto x
+        x = least(i1)
+        if bits[least(r2)] < bits[x]:
+            x = least(r2)
+            members = _triple_orbit(swapped, normaliser_rows(r2), S)[0]
+        for k in paths(rep[x])[x]:
+            row = gen_rows[k]
+            members = [(row[a], row[b], row[c]) for a, b, c in members]
+        key = (bits[x],) + min((bits[a], bits[b], bits[c]) for a, b, c in members)
+        quad = Quadruple(*(Subgroup(G, b) for b in key))
         report = evaluate(
             quad,
             with_generative=True,
             with_irreducible=level >= 1,
             with_indomitable=level >= 2,
+            # the subgroups above all four are G alone iff they generate G
+            generative=above[i1] & above[i2] & above[i3] & above[i4] == top,
         )
         # each level implies the ones before it, so its own flag decides
         keep = getattr(report, opts.require)
         if keep and opts.minimal_mode:
             keep = minimal_constraints(quad)
         if keep:
-            found.append(OffenderClass(quad, len(orbit), report))
+            found.append(OffenderClass(quad, size, report))
 
     for i1 in range(S):
         if rep[i1] != i1 or not h12_mask >> i1 & 1:
             continue
         b1, o1 = bits[i1], orders[i1]
-        stab = [conj[x] for x in normalisers[b1]]  # generators of N_G(H1), acting on indices
+        stab = normaliser_rows(i1)  # generators of N_G(H1), acting on indices
+        seen.clear()  # a hit's members with H1 first come only in this pass
         visited = bytearray(S)  # H2 candidates in the N_G(H1)-orbit of a visited one
         for i2 in bits_to_ids(meets[i1] & h12_mask):
             if rep[i2] < i1 or visited[i2]:  # H2's class comes before H1's

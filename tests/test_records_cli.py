@@ -69,14 +69,14 @@ def test_wreath2_record_verifies():
     from ingleton.constructions import construct_named
     from ingleton.engine import Quadruple, evaluate
     from ingleton.groups import build_group
-    from ingleton.search import _orbit_of
     from ingleton.subgroups import all_subgroups
+    from oracles import orbit_of
 
     G = build_group(construct_named("wreath2", ("sym", 3)))
     subs = all_subgroups(G)
     Q = Quadruple(subs[-2], subs[-3], subs[len(subs) // 2], subs[len(subs) // 3])
     report = evaluate(Q, with_irreducible=True, with_indomitable=True)
-    rec = json.loads(json.dumps(quadruple_record(Q, report, len(_orbit_of(G, Q.bits_tuple())))))
+    rec = json.loads(json.dumps(quadruple_record(Q, report, len(orbit_of(G, Q.bits_tuple())))))
     assert rec["group"]["params"] == ["sym", 3]
     assert verify_record(rec) == []
 

@@ -17,9 +17,7 @@ from ingleton.search import (
     _bands,
     _offending_h4,
     _orbit,
-    _orbit_of,
     _pair_tables,
-    canonical_class,
     minimal_constraints,
     oracle_options,
     search_offenders,
@@ -37,6 +35,7 @@ from ingleton.subgroups import (
 )
 
 from conftest import named, product, relabelled
+from oracles import canonical_class, orbit_of
 
 
 def test_s4_has_no_offenders():
@@ -69,7 +68,7 @@ def lattice_and_offenders(order):
     G = Q.group
     lattice = all_subgroups(G)
     by_bits = {s.bits: s for s in lattice}
-    members = sorted(_orbit_of(G, Q.bits_tuple()))
+    members = sorted(orbit_of(G, Q.bits_tuple()))
     return lattice, [Quadruple(*(by_bits[b] for b in m)) for m in members]
 
 
@@ -155,7 +154,7 @@ def test_canonical_representative_is_orbit_minimum(s5_classes):
 
 def test_class_size_matches_orbit(s5_classes, s5_group):
     cls = s5_classes[0]
-    assert cls.size == len(_orbit_of(s5_group, cls.representative.bits_tuple()))
+    assert cls.size == len(orbit_of(s5_group, cls.representative.bits_tuple()))
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,7 +171,7 @@ def test_class_size_matches_orbit(s5_classes, s5_group):
 @example(order=144, picks=(0, 0, 0, 0), conjugator=None, member=0)
 def test_class_size_by_orbit_stabiliser_matches_the_orbit(order, picks, conjugator, member):
     # records.class_size counts the (g, swap) pairs fixing the quadruple;
-    # _orbit_of lists the orbit itself
+    # orbit_of lists the orbit itself
     subs, offenders = lattice_and_offenders(order)
     if member is None:
         h1, h2, h3, h4 = (subs[p % len(subs)] for p in picks)
@@ -181,7 +180,7 @@ def test_class_size_by_orbit_stabiliser_matches_the_orbit(order, picks, conjugat
         Q = Quadruple(h1, h2, h3, h4)
     else:
         Q = offenders[member % len(offenders)]
-    assert class_size(Q) == len(_orbit_of(Q.group, Q.bits_tuple()))
+    assert class_size(Q) == len(orbit_of(Q.group, Q.bits_tuple()))
 
 
 RECORD_FILES = sorted(
@@ -279,7 +278,7 @@ def test_pair_tables_match_pairwise_definitions(spec):
     apart = [[meet[i][j] not in (subs[i].order, subs[j].order) for j in range(S)] for i in range(S)]
     for f_contain in (True, False):
         for f_meets in (True, False):
-            apart_mask, meets_mask, levels = _pair_tables(subs, has, f_contain, f_meets)
+            apart_mask, meets_mask, levels, _ = _pair_tables(subs, has, f_contain, f_meets)
             for i in range(S):
                 want_apart = [apart[i][j] or not f_contain for j in range(S)]
                 want_meets = [want_apart[j] and (meet[i][j] > 1 or not f_meets) for j in range(S)]
@@ -299,6 +298,41 @@ def test_pair_tables_match_pairwise_definitions(spec):
                 assert [w for w, _ in band] == sorted({1} | {w for w, _ in level})
                 for w, mask in band:
                     assert [bool(mask >> k & 1) for k in range(S)] == [meet[i][k] == w for k in range(S)]
+
+
+GENERATIVITY_GROUPS = {
+    "S5": named("sym", 5),
+    "A4xA4": product(named("alt", 4), named("alt", 4)),
+    "A4wr2": named("wreath2", "alt", 4),
+}
+
+
+@functools.cache
+def lattice_and_above(name):
+    """The lattice of the named group and the ``above`` masks of _pair_tables."""
+    G = build_group(GENERATIVITY_GROUPS[name])
+    subs = all_subgroups(G)
+    above = _pair_tables(subs, membership_masks(G.n, [s.bits for s in subs]), True, True)[3]
+    return subs, above
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(GENERATIVITY_GROUPS)), picks=st.tuples(*(st.integers(0, 10**6),) * 4))
+@example(name="S5", picks=(0, 0, 0, 0))  # all trivial
+@example(name="A4xA4", picks=(1, 1, 1, 1))  # one subgroup of order 2, four times
+@example(name="A4wr2", picks=(10**6 - 1, 0, 0, 0))  # G among them
+def test_generativity_from_the_upper_sets_matches_is_generative(name, picks):
+    # the search decides generativity as "the subgroups above all four are G
+    # alone", G being last in the lattice sorted by order; engine.is_generative
+    # joins the generators onto H1 instead
+    from ingleton.engine import is_generative
+
+    subs, above = lattice_and_above(name)
+    S = len(subs)
+    ids = [p % S for p in picks]
+    Q = Quadruple(*(subs[i] for i in ids))
+    common = functools.reduce(int.__and__, (above[i] for i in ids))
+    assert (common == 1 << (S - 1)) == is_generative(Q)
 
 
 # (id, spec, whether some offending pair has t3 != t4)
@@ -435,17 +469,23 @@ def test_normaliser_rows_give_the_normaliser_orbits(spec):
         (named("sym", 5), ("all",)),
         (named("wreath2", "alt", 4), ()),
         (named("gl2", 5), ()),
+        (named("alt", 6), ()),
+        pytest.param(named("sym", 6), (), marks=pytest.mark.slow),
     ],
-    ids=["S5", "S5-no-filter", "A4wr2", "GL2(5)"],
+    ids=["S5", "S5-no-filter", "A4wr2", "GL2(5)", "A6", "S6"],
 )
 def test_class_size_and_key_match_the_orbit_of_all_of_g(spec, disable):
-    # a hit's orbit is a BFS under the generator rows; _orbit_of conjugates
-    # by every element of G, so its length and least member must match
+    # the search walks a hit's orbit only under N_G(H1) and takes the size
+    # and key from it; orbit_of conjugates by every element of G, so its
+    # length and least member must match.  A4wr2 and GL2(5) have classes
+    # whose key starts in H2's class, A6 and S6 classes with H1 and H2
+    # conjugate
     G = build_group(spec)
     classes = search_offenders(G, SearchOptions(disable_filters=disable))
     assert classes
+    assert len({cls.key for cls in classes}) == len(classes)
     for cls in classes:
-        orbit = _orbit_of(G, cls.key)
+        orbit = orbit_of(G, cls.key)
         assert (cls.size, cls.key) == (len(orbit), min(orbit))
 
 
