@@ -245,13 +245,14 @@ def parse_named(text: str) -> GroupSpec:
 
     A factor is ``name:p1:...`` with integer parameters, except that wreath2's
     first parameter is an inner factor's name (``wreath2:alt:4``); factors
-    joined by ``*`` make a direct product, folded from the left.
+    joined by ``*`` make a direct product, folded from the left.  Whitespace
+    around a factor is ignored; an empty factor is an error.
     """
-    factors = [f.strip() for f in text.split("*") if f.strip()]
-    if not factors:
-        raise BadParams(f"empty group name {text!r}")
+    factors = [f.strip() for f in text.split("*")]
     spec = None
-    for factor in factors:
+    for k, factor in enumerate(factors, 1):
+        if not factor:
+            raise BadParams(f"empty factor {k} of {len(factors)} in group name {text!r}")
         name, *params = factor.split(":")
         named = construct_named(name, params)
         spec = named if spec is None else DirectProduct(spec, named)

@@ -310,6 +310,14 @@ class GroupTable:
             self._cache["cyclic_subgroups"] = cyc
         return cyc
 
+    def element_bits(self) -> list[int]:
+        """``bit[x]``: the bitset ``1 << x`` of element x, one shared int per
+        element, cached, so a list of ids becomes a bitset by a C-level sum."""
+        bit = self._cache.get("element_bits")
+        if bit is None:
+            bit = self._cache["element_bits"] = [1 << x for x in range(self.n)]
+        return bit
+
     def element_orders(self) -> list[int]:
         return [b.bit_count() for b in self.cyclic_subgroups()]
 
@@ -381,12 +389,15 @@ def least_prime_factor(n: int) -> int:
 def join_bits(G: GroupTable, base_bits: int, gens, base_gens) -> int:
     """Membership of <H, gens> given a subgroup H, its generators and extra elements.
 
-    Grows a union of right cosets H*y along the Schreier graph: one table
-    lookup per edge, and each coset is filled exactly once.  The edge labels
-    must generate the join together with H, so H's generators ``base_gens``
-    are added (pass ``base_gens=()`` when H is normal in the join, where
-    H * <gens> is already the whole join).  A group without a table closes
-    generators instead, and then needs H's generators either way.
+    Grows a union of left cosets y*H along the Schreier graph: each new
+    representative is y = g*x for an edge generator g and a representative x
+    already found, and its coset is row y of the table read at H's ids, one
+    C-level ``itemgetter`` call into a set.  The edge labels must generate
+    the join together with H, so H's generators ``base_gens`` are added (pass
+    ``base_gens=()`` when H is normal in the join, where <gens> * H is
+    already the whole join).  A proper join becomes a bitset once, at the
+    end, as a C-level sum of cached powers of two.  A group without a table
+    closes generators instead, and then needs H's generators either way.
 
     The growth stops by Lagrange: the join's index divides [G:H], so once
     the cosets cover more than |G|/p elements, with p the least prime factor
@@ -398,27 +409,20 @@ def join_bits(G: GroupTable, base_bits: int, gens, base_gens) -> int:
     members = bits_to_ids(base_bits)
     size = order = len(members)
     limit = n // least_prime_factor(n // order)
-    rows = [mt[h] for h in members]
-    edge_gens = [g for g in dict.fromkeys(tuple(base_gens) + tuple(gens)) if g]
-    covered = base_bits | 1
+    coset = itemgetter(*members, 0)  # the trailing 0 keeps a tuple when |H| = 1
+    edge_rows = [mt[g] for g in dict.fromkeys((*base_gens, *gens)) if g]
+    covered = set(members)
     reps = [0]
-    head = 0
-    while head < len(reps):
-        row = mt[reps[head]]
-        head += 1
-        for g in edge_gens:
-            y = row[g]
-            if not (covered >> y) & 1:
-                cos = 0
-                for h_row in rows:
-                    cos |= 1 << h_row[y]
-                cos |= 1 << y
-                covered |= cos
+    for x in reps:  # the list grows as the BFS goes
+        for row in edge_rows:
+            y = row[x]
+            if y not in covered:
                 size += order
                 if size > limit:
                     return (1 << n) - 1
+                covered.update(coset(mt[y]))
                 reps.append(y)
-    return covered
+    return sum(map(G.element_bits().__getitem__, covered))
 
 
 def generating_set(G: GroupTable, bits: int) -> tuple[int, ...]:

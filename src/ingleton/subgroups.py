@@ -24,13 +24,13 @@ G: the BFS keeps a transversal and, for each edge that reaches a conjugate
 already found, a Schreier element fixing R.  By Schreier's lemma these generate N_G(R), so
 the atoms' N_G(R)-orbits are a BFS over R's generators and the Schreier
 elements outside R.  A join (``groups.join_bits``, which also builds
-generating sets) grows a union of right cosets along the Schreier graph,
-about one table lookup per element of the result (each member's row of
-``G.mul_table`` is fetched once per join), and stops by Lagrange's theorem
-as soon as the cosets cover more than |G|/p elements, p the least prime
-factor of [G:H]: most joins of a lattice are G, and those stop about
-halfway.  Element classes are a BFS over element ids through the
-generators' ``conj_perm`` lists, and normal subgroups are the joins of the
+generating sets) grows a union of left cosets y*H along the Schreier graph,
+each one row of ``G.mul_table`` read at H's ids by one C-level
+``itemgetter`` call into a set, and stops by Lagrange's theorem as soon as
+the cosets cover more than |G|/p elements, p the least prime factor of
+[G:H]: most joins of a lattice are G, and those stop about halfway.
+Element classes are a BFS over element ids through the generators'
+``conj_perm`` lists, and normal subgroups are the joins of the
 normal closures of those classes, closed in one pass.
 The class BFS already conjugates every subgroup by every generator, so
 ``all_subgroups`` keeps those images and the normaliser generators of each
@@ -171,9 +171,11 @@ def membership_masks(n: int, bits: list[int]) -> list[int]:
 
 def _conjugators(G: GroupTable) -> list[tuple[int, list[int], list[int]]]:
     """``(g, perm, shift)`` per distinct generator g of G: ``perm`` is
-    ``G.conj_perm(g)`` and ``shift[x]`` is ``1 << perm[x]``, so the bitset of
-    g H g^-1 is one C-level ``sum`` over the ids of H."""
-    return [(g, perm, [1 << y for y in perm]) for g in dict.fromkeys(G.gen_ids) for perm in (G.conj_perm(g),)]
+    ``G.conj_perm(g)`` and ``shift[x]`` is ``1 << perm[x]``, taken from
+    ``G.element_bits()``, so the bitset of g H g^-1 is one C-level ``sum``
+    over the ids of H."""
+    bit = G.element_bits()
+    return [(g, perm, list(map(bit.__getitem__, perm))) for g in dict.fromkeys(G.gen_ids) for perm in (G.conj_perm(g),)]
 
 
 def _conjugacy_class(

@@ -69,8 +69,18 @@ def test_direct_product_and_wreath_orders():
     assert build_group(product(named("alt", 4), named("alt", 4))).n == 144
     assert build_group(construct_named("wreath2", ("alt", 4))).n == 288
     assert build_group(product(named("cyclic", 3), named("psl2", 7))).n == 504
-    assert parse_named("alt:4*alt:4") == product(named("alt", 4), named("alt", 4))
+    assert parse_named("alt:4*alt:4") == parse_named(" alt:4 *  alt:4 ") == product(named("alt", 4), named("alt", 4))
     assert parse_named("cyclic:2*cyclic:2*cyclic:2") == product(*(named("cyclic", 2) for _ in range(3)))
+
+
+@pytest.mark.parametrize(
+    "text, factor",
+    [("sym:4*", "factor 2 of 2"), ("*sym:4", "factor 1 of 2"), ("sym:4**sym:4", "factor 2 of 3")],
+)
+def test_empty_factor_is_an_error(text, factor):
+    # each names a group with an empty factor; dropping the factor would search another group
+    with pytest.raises(BadParams, match=f"empty {factor} "):
+        parse_named(text)
 
 
 def test_order_cap_is_checked_before_any_generator_is_built():

@@ -23,7 +23,6 @@ from ingleton.records import (
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SHIPPED_EXAMPLE = REPO_ROOT / "data" / "psl27_example.jsonl"
 GOLDEN_RECORDS = Path(__file__).resolve().parent / "data" / "golden_s5_a4a4.jsonl"
-GOLDEN_A4WR2 = Path(__file__).resolve().parent / "data" / "golden_a4wr2.jsonl"
 
 
 def run_cli(*argv):
@@ -97,25 +96,21 @@ def test_golden_search_records(s5_group, s5_classes, a4a4_group, a4a4_classes):
     assert text == GOLDEN_RECORDS.read_text(encoding="utf-8")
 
 
-def test_golden_search_records_a4wr2():
-    # the default search of A4 wreath 2 (order 288, 7 classes), the group of
-    # the benchmark's candidate-loop workload, pinned byte for byte
-    from ingleton.constructions import construct_named
-    from ingleton.groups import build_group
-    from ingleton.search import search_offenders
-
-    G = build_group(construct_named("wreath2", ("alt", 4)))
-    assert search_records_text((G, search_offenders(G))) == GOLDEN_A4WR2.read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize(
     "name, golden",
-    [("alt:6", "golden_a6.jsonl"), ("gl2:5", "golden_gl25.jsonl")],
-    ids=["A6", "GL2(5)"],
+    [
+        ("alt:6", "golden_a6.jsonl"),
+        ("gl2:5", "golden_gl25.jsonl"),
+        ("psl2:8", "golden_psl28.jsonl"),
+        ("wreath2:alt:4", "golden_a4wr2.jsonl"),
+    ],
+    ids=["A6", "GL2(5)", "PSL2(8)", "A4wr2"],
 )
 def test_golden_search_records_named(name, golden):
-    # the default searches of A6 (32 classes, 8 with H1 and H2 conjugate) and
-    # GL2(5) (15 classes), pinned byte for byte
+    # the default searches of A6 (32 classes, 8 with H1 and H2 conjugate),
+    # GL2(5) (15 classes), and the groups of the benchmark's lattice and
+    # candidate-loop workloads, PSL(2,8) (1 class) and A4 wreath 2 (7
+    # classes), pinned byte for byte
     from ingleton.constructions import parse_named
     from ingleton.groups import build_group
     from ingleton.search import search_offenders
@@ -179,8 +174,8 @@ def test_cli_search_usage_errors(capsys):
     # factorized-h12 was removed: it only ever saw passing comparisons, where it never fires
     assert run_cli("search", "--named", "sym:4", "--no-filter", "factorized-h12") == 2
     capsys.readouterr()
-    for text in ("", "*", "sym", "sym:5:6", "sym:-3", "cyclic:0", "psl2:6", "nosuch:3",
-                 "wreath2", "wreath2:alt", "wreath2:nosuch:3"):
+    for text in ("", "*", "sym:4*", "*sym:4", "sym:4**sym:4", "sym", "sym:5:6", "sym:-3", "cyclic:0",
+                 "psl2:6", "nosuch:3", "wreath2", "wreath2:alt", "wreath2:nosuch:3"):
         assert run_cli("search", "--named", text) == 2, text
         assert capsys.readouterr().err.startswith("error: "), text
 

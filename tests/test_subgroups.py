@@ -1,13 +1,16 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ingleton.constructions import dicyclic_spec, expand_named, metacyclic_spec, supersoluble_family
 from ingleton.errors import OrderCapExceeded, ParentMismatch
 from ingleton.groups import bits_to_ids, build_group, closure_ids, generating_set
 from ingleton.permutations import parse_cycles
 from ingleton.subgroups import (
+    Subgroup,
     _class_and_normaliser,
     all_subgroups,
     conjugate_bits,
@@ -32,6 +35,7 @@ from ingleton.subgroups import (
 )
 
 from conftest import cyclic_product, named, product, relabelled
+from oracles import closure_by_mul
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +377,56 @@ def test_join_bits_stops_by_lagrange(monkeypatch):
     monkeypatch.setattr(G, "mul_table", [CountingRow(row) for row in G.mul_table])
     assert join_bits(G, H.bits, (c,), base_gens=H.gens) == (1 << G.n) - 1
     assert 0 < reads[0] < 2 * H.order
+
+
+JOIN_GROUPS = {"S5": named("sym", 5), "A4wr2": named("wreath2", "alt", 4), "PSL2(8)": named("psl2", 8)}
+
+
+@functools.cache
+def join_lattice(name):
+    G = build_group(JOIN_GROUPS[name])
+    return G, all_subgroups(G)
+
+
+def assert_join_matches_closure(G, H, elems):
+    # with H's generators as edge labels, and without them when H is normal
+    expected = closure_by_mul(G, (*H.gens, *elems))
+    assert join_bits(G, H.bits, elems, base_gens=H.gens) == expected
+    if is_normal(G, H):
+        assert join_bits(G, H.bits, elems, base_gens=()) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(JOIN_GROUPS)),
+    pick=st.integers(0, 10**6),
+    elems=st.lists(st.integers(0, 10**6), min_size=1, max_size=3),
+)
+@example(name="S5", pick=0, elems=[7])  # the trivial subgroup, the lattice's first
+@example(name="PSL2(8)", pick=-1, elems=[3])  # G itself, the lattice's last
+def test_join_bits_matches_brute_force_closure(name, pick, elems):
+    G, subs = join_lattice(name)
+    assert_join_matches_closure(G, subs[pick % len(subs)], tuple(x % G.n for x in elems))
+
+
+def test_join_bits_matches_brute_force_closure_pinned(monkeypatch):
+    from ingleton import groups
+
+    G, subs = join_lattice("S5")
+    trivial, point_stabiliser, whole = subs[0], next(s for s in subs if s.order == 24), subs[-1]
+    outside = next(x for x in range(G.n) if x not in point_stabiliser)
+    cases = [(trivial, (outside,)), (point_stabiliser, (outside,)), (whole, (outside, 1))]
+    assert trivial.order == 1 and whole.order == G.n
+    # [S5 : S4] = 5 is prime, so the join stops at G by Lagrange
+    assert join_bits(G, point_stabiliser.bits, (outside,), point_stabiliser.gens) == (1 << G.n) - 1
+    for H, elems in cases:
+        assert_join_matches_closure(G, H, elems)
+    # past groups.DEFAULT_ORDER_CAP the same ids close generators instead
+    monkeypatch.setattr(groups, "DEFAULT_ORDER_CAP", 10)
+    sparse = build_group(JOIN_GROUPS["S5"])
+    assert sparse.mul_table is None
+    for H, elems in cases:
+        assert_join_matches_closure(sparse, Subgroup(sparse, H.bits, H.gens), elems)
 
 
 @pytest.mark.parametrize(
