@@ -382,7 +382,7 @@ def supersoluble_family(q: int, allow_small: bool = False, zeta: int | None = No
         raise VerificationFailed(f"closure gave order {G.n}, expected q^3(q-1) = {order}")
     ids = {}
     for name, mat in mats.items():
-        eid = G._ids.get(mat)
+        eid = G.element_id(mat)
         if eid is None:
             raise VerificationFailed(f"matrix {name} is not an element of the built group")
         ids[name] = eid
@@ -537,7 +537,7 @@ def example_3xpsl27() -> engine.Quadruple:
         raise VerificationFailed(f"3 x PSL(2,7) build gave order {G.n}")
 
     def elem(cycles: str) -> int:
-        return G._ids[parse_cycles(cycles, 11)]
+        return G.element_id(parse_cycles(cycles, 11))
 
     g = elem(PSL27_G)
     h = elem(PSL27_H)

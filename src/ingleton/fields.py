@@ -8,9 +8,11 @@ and makes every construction reproducible.
 
 Addition and multiplication are tabulated once per field.  ``mat_mul`` reads
 the tables as one row list per left operand, so a 3x3 product is 27 products
-and 18 sums, each one list index, with no method calls; it is the inner step
-of every matrix-group build.  ``mat_det`` and ``mat_inv`` go through the
-scalar methods, as a build calls them on the generators only.
+and 18 sums, each one list index, with no method calls.  A matrix-group build
+calls it once per row and generator to fill its row tables, and a group
+without a multiplication table once per product.  ``mat_det`` and ``mat_inv``
+go through the scalar methods: a build checks each generator's determinant,
+and no build inverts a matrix.
 """
 
 from __future__ import annotations

@@ -2,16 +2,20 @@
 
 A group is closed over its generators by breadth-first search with a fixed
 generator order, so element ids are stable across runs and platforms: the
-identity is always element 0 and the rest follow in discovery order.  Each
-element other than the identity is its BFS parent times one generator, and
-that tree gives every inverse with one concrete product per element.  Groups
-within the default order cap carry a multiplication table of n row tuples,
-each filled by reading the parent's row through one generator's
-left-multiplication column (an ``itemgetter`` call per row); the columns
-come from the products the closure already made, so the table costs no
-concrete product.  Larger builds (raised order cap) fall back to
-multiplying concrete elements on demand, which is all the matrix-family
-verification needs.
+identity is always element 0 and the rest follow in discovery order.  The
+closure takes one right action per generator and keeps its products as one
+id column per generator.  Each element other than the identity is its BFS
+parent times one generator, and that tree with those columns gives every
+left-multiplication column, hence every inverse, with no concrete product.
+Groups within the default order cap carry a multiplication table of n row
+tuples, each filled by reading the parent's row through one generator's
+left-multiplication column (an ``itemgetter`` call per row).  Larger builds
+(raised order cap) fall back to multiplying concrete elements on demand,
+which is all the matrix-family verification needs.
+
+A matrix group stores each element as one int that packs the ids of its
+three rows, so a generator's right action is three reads of a table over
+the rows, with no 3x3 product in the closure.
 
 The BFS tree also spells every element as a word in the spec's generators,
 read off the parent pointers on demand, so subgroups can be serialized as
@@ -35,7 +39,7 @@ from .errors import (
     OrderCapExceeded,
     ParentMismatch,
 )
-from .fields import MAT3_IDENTITY, Mat3, field_create, mat_label
+from .fields import MAT3_IDENTITY, FieldTable, Mat3, field_create, mat_label
 
 DEFAULT_ORDER_CAP = 2048  # also the largest order for which the table is stored
 
@@ -229,7 +233,7 @@ def parse_word(text: str) -> tuple[int, ...]:
 class GroupTable:
     """Immutable multiplication structure over element ids 0..n-1."""
 
-    def __init__(self, spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids):
+    def __init__(self, spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids, codec):
         self.spec = spec
         self.n = n
         self.identity = 0
@@ -241,13 +245,25 @@ class GroupTable:
         self._mul_c = mul_c
         self._elems = elems
         self._ids = ids
+        self._codec = codec  # packs concrete elements into stored ones; None stores them as they are
         self._cache: dict = {}
 
     @cached_property
     def labels(self) -> list[str]:
         """A printable label per element, formatted on first use: no search or
         verification step reads them, only the labels of products and quotients."""
-        return [self._label_c(e) for e in self._elems]
+        return [self._label_c(self.element(i)) for i in range(self.n)]
+
+    def element(self, i: int):
+        """The concrete element with id i: an image tuple, a row-major 3x3
+        matrix, or a pair or coset id of the groups a product or quotient is
+        built from."""
+        e = self._elems[i]
+        return e if self._codec is None else self._codec.unpack(e)
+
+    def element_id(self, e):
+        """The id of the concrete element e, or None when e is not in the group."""
+        return self._ids.get(e if self._codec is None else self._codec.pack(e))
 
     def mul(self, a: int, b: int) -> int:
         if self.mul_table is not None:
@@ -457,19 +473,19 @@ def is_normal_bits(G: GroupTable, bits: int) -> bool:
 # Building
 
 
-def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
-    """Close the generators, then materialize the table (dense if small enough)."""
+def _bfs_build(spec, identity, acts, mul_c, label_c, cap, codec=None):
+    """Close the identity under the right actions ``acts``, one per generator,
+    then take inverses and materialize the table (dense if small enough).
+    ``mul_c`` multiplies two stored elements for a group without a table."""
     ids = {identity: 0}
     elems = [identity]
     parent = [(-1, -1)]
-    # right[k][x]: the id of e_x*g_k, the closure's own products, kept while
-    # the group can still get a dense table
-    right = [[] for _ in gens]
-    head = 0
-    while head < len(elems):
-        cur = elems[head]
-        for k, g in enumerate(gens):
-            z = mul_c(cur, g)
+    # right[k][x]: the id of e_x*g_k, the closure's own products
+    right = [[] for _ in acts]
+    steps = [(k, act, col.append) for k, (act, col) in enumerate(zip(acts, right))]
+    for head, cur in enumerate(elems):  # the list grows as the BFS goes
+        for k, act, put in steps:
+            z = act(cur)
             i = ids.get(z)
             if i is None:
                 i = ids[z] = len(elems)
@@ -479,42 +495,54 @@ def _bfs_build(spec, identity, gens, mul_c, inverse_c, label_c, cap):
                     raise OrderCapExceeded(
                         f"group closure passed the order cap {cap}; raise the cap to allow this build"
                     )
-                if i == DEFAULT_ORDER_CAP:
-                    right = None
-            if right is not None:
-                right[k].append(i)
-        head += 1
+            put(i)
+    del steps
     n = len(elems)
-    gen_ids = [ids[g] for g in gens]
+    gen_ids = [col[0] for col in right]  # e_0*g_k = g_k
+    dense = n <= DEFAULT_ORDER_CAP
 
-    # Inverses from the BFS tree: e_i = e_p*g_k, so e_i^-1 = g_k^-1 * e_p^-1,
-    # one concrete product per element; inverse_c runs on the generators only.
-    # Parents precede their children, so inv[p] is known when i is reached.
-    gen_invs = [inverse_c(g) for g in gens]
+    # Inverses from the right columns: g_k^-1 is the x with e_x*g_k = e, and
+    # its left column L[j] = g_k^-1*e_j follows the tree.  Then e_i = e_p*g_k
+    # gives e_i^-1 = g_k^-1*e_p^-1, and parents precede their children, so
+    # inv[p] is known when i is reached.
+    inv_cols = [_left_column(right, parent, col.index(0)) for col in right]
+    if not dense:
+        del right  # no table to fill: the right columns are done with
     inv = [0] * n
     for i in range(1, n):
         p, k = parent[i]
-        inv[i] = ids[mul_c(gen_invs[k], elems[inv[p]])]
+        inv[i] = inv_cols[k][inv[p]]
+    del inv_cols
 
     mul_table = None
-    if right is not None:
-        # The left-multiplication columns L_k[j] = g_k*e_j come from the
-        # closure's products: e_j = e_q*g_m, so g_k*e_j = (g_k*e_q)*g_m is
-        # right[m][L_k[q]], with q < j.  Then e_i = e_p*g_k gives
-        # e_i*e_j = e_p*(g_k*e_j): row i is row p read through L_k, one
-        # itemgetter call per row, with no concrete product at all.  For
-        # n == 1 an itemgetter of one index would return a scalar, but the
-        # trivial group has no row to fill, so it is never called.
-        lcols = []
-        for g in gen_ids:
-            col = [g]
-            for q, m in parent[1:]:
-                col.append(right[m][col[q]])
-            lcols.append(itemgetter(*col))
+    if dense:
+        # e_i = e_p*g_k gives e_i*e_j = e_p*(g_k*e_j): row i is row p read
+        # through g_k's left column, one itemgetter call per row, with no
+        # concrete product at all.  For n == 1 an itemgetter of one index
+        # would return a scalar, but the trivial group has no row to fill,
+        # so it is never called.
+        lcols = [itemgetter(*_left_column(right, parent, g)) for g in gen_ids]
+        del right
         mul_table = [tuple(range(n))]
         for p, k in parent[1:]:
             mul_table.append(lcols[k](mul_table[p]))
-    return GroupTable(spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids)
+    return GroupTable(spec, n, gen_ids, parent, label_c, mul_table, inv, mul_c, elems, ids, codec)
+
+
+def _left_column(right, parent, x) -> list[int]:
+    """``L[j]``, the id of e_x*e_j for every j, from the closure's right
+    columns: e_j = e_q*g_m gives e_x*e_j = (e_x*e_q)*g_m, right[m][L[q]],
+    with q < j."""
+    col = [x]
+    append = col.append
+    for q, m in parent[1:]:
+        append(right[m][col[q]])
+    return col
+
+
+def _right_actions(mul_c, gens):
+    """x -> x*g for each generator g, through the concrete product."""
+    return [lambda x, g=g: mul_c(x, g) for g in gens]
 
 
 def _build_permutation(spec: PermutationGenerators, cap: int) -> GroupTable:
@@ -522,12 +550,65 @@ def _build_permutation(spec: PermutationGenerators, cap: int) -> GroupTable:
     return _bfs_build(
         spec,
         perms.identity_perm(spec.degree),
-        gens,
+        _right_actions(perms.compose, gens),
         perms.compose,
-        perms.invert,
         perms.format_cycles,
         cap,
     )
+
+
+class _PackedMatrices:
+    """3x3 matrices over GF(q), each stored as one int.
+
+    A row (a, b, c) has the id a*q^2 + b*q + c in [0, q^3), and a matrix
+    packs its three row ids into bit fields of ``width`` bits, row 0 highest.
+    """
+
+    def __init__(self, field: FieldTable):
+        self.field = field
+        self.width = (field.q**3 - 1).bit_length()
+
+    def pack(self, m: Mat3) -> int:
+        q, w = self.field.q, self.width
+        m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
+        return (((m0 * q + m1) * q + m2) << w | (m3 * q + m4) * q + m5) << w | (m6 * q + m7) * q + m8
+
+    def unpack(self, x: int) -> Mat3:
+        q, w = self.field.q, self.width
+        qq, mask = q * q, (1 << w) - 1
+        r0, r1, r2 = x >> 2 * w, x >> w & mask, x & mask
+        return (r0 // qq, r0 // q % q, r0 % q, r1 // qq, r1 // q % q, r1 % q, r2 // qq, r2 // q % q, r2 % q)
+
+    def mul(self, a: int, b: int) -> int:
+        return self.pack(self.field.mat_mul(self.unpack(a), self.unpack(b)))
+
+    def right_actions(self, gens) -> list:
+        """x -> x*g on packed matrices for each generator g.
+
+        Row v of x*g is v*g, so each action reads one table over the row ids
+        three times, once per row field, the table pre-shifted to each field.
+        The tables are filled, one ``mat_mul`` per row and generator, on the
+        orbit of the identity's rows only, which holds every row of every
+        element of the group.
+        """
+        q, w, mat_mul = self.field.q, self.width, self.field.mat_mul
+        w2, size, mask = 2 * w, q**3, (1 << w) - 1
+        tables = [([0] * size, [0] * size, [0] * size) for _ in gens]
+        rows = [q * q, q, 1]  # the rows of the identity
+        seen = set(rows)
+        for r in rows:  # the list grows as the orbit is found
+            v = (r // (q * q), r // q % q, r % q, 0, 0, 0, 0, 0, 0)
+            for (t0, t1, t2), g in zip(tables, gens):
+                a, b, c = mat_mul(v, g)[:3]
+                image = (a * q + b) * q + c
+                t0[r], t1[r], t2[r] = image << w2, image << w, image
+                if image not in seen:
+                    seen.add(image)
+                    rows.append(image)
+        return [
+            lambda x, t0=t0, t1=t1, t2=t2: t0[x >> w2] | t1[x >> w & mask] | t2[x & mask]
+            for t0, t1, t2 in tables
+        ]
 
 
 def _build_matrix(spec: MatrixGenerators, cap: int) -> GroupTable:
@@ -535,14 +616,15 @@ def _build_matrix(spec: MatrixGenerators, cap: int) -> GroupTable:
     for m in spec.generators:
         if field.mat_det(m) == 0:
             raise InvalidGenerator(f"matrix {mat_label(m)} is singular over GF({spec.q})")
+    codec = _PackedMatrices(field)
     return _bfs_build(
         spec,
-        MAT3_IDENTITY,
-        list(spec.generators),
-        field.mat_mul,
-        field.mat_inv,
+        codec.pack(MAT3_IDENTITY),
+        codec.right_actions(spec.generators),
+        codec.mul,
         mat_label,
         cap,
+        codec,
     )
 
 
@@ -573,13 +655,10 @@ def _build_product(spec: DirectProduct, cap: int) -> GroupTable:
     def mul_c(a, b):
         return (left.mul(a[0], b[0]), right.mul(a[1], b[1]))
 
-    def inv_c(a):
-        return (left.inv[a[0]], right.inv[a[1]])
-
     def label_c(a):
         return f"({left.labels[a[0]]}|{right.labels[a[1]]})"
 
-    return _bfs_build(spec, (0, 0), gens, mul_c, inv_c, label_c, cap)
+    return _bfs_build(spec, (0, 0), _right_actions(mul_c, gens), mul_c, label_c, cap)
 
 
 def _build_quotient(spec: Quotient, cap: int) -> GroupTable:
@@ -651,14 +730,11 @@ def quotient_by_bits(G: GroupTable, kernel_bits: int, spec=None):
     def mul_c(a, b):
         return rep[G.mul(a, b)]
 
-    def inv_c(a):
-        return rep[G.inv[a]]
-
     def label_c(a):
         return f"{G.labels[a]}N"
 
     gens = [rep[g] for g in G.gen_ids]
-    table = _bfs_build(spec, 0, gens, mul_c, inv_c, label_c, n)
+    table = _bfs_build(spec, 0, _right_actions(mul_c, gens), mul_c, label_c, n)
     if table.n * len(members) != n:
         raise NotNormal("quotient order check failed; kernel does not partition the group evenly")
     qid = table._ids

@@ -35,13 +35,6 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(q.__getitem__, p))
 
 
-def invert(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
-
-
 def validate_perm(img, degree: int) -> tuple[int, ...]:
     img = tuple(int(i) for i in img)
     if len(img) != degree or sorted(img) != list(range(degree)):

@@ -4,10 +4,13 @@
 role swaps, so its length is the class size and its least member the
 canonical key that the search computes from a stabiliser orbit.
 ``closure_by_mul`` closes a set of element ids under ``G.mul``, one product
-at a time, the oracle for ``join_bits``.
+at a time, the oracle for ``join_bits``.  ``matrix_closure`` is the plain
+matrix-group build: a BFS over row-major 9-tuples with ``mat_mul``, each
+inverse found with ``mat_inv``, the oracle for the packed-row build.
 """
 
 from ingleton.engine import Quadruple
+from ingleton.fields import MAT3_IDENTITY, field_create
 from ingleton.subgroups import Subgroup, conjugate_bits
 
 
@@ -43,3 +46,24 @@ def closure_by_mul(G, ids):
                 seen.add(y)
                 found.append(y)
     return sum(1 << x for x in seen)
+
+
+def matrix_closure(q, gens, cap):
+    """``(elems, parent, inv)`` of the group the 3x3 matrices ``gens``
+    generate over GF(q), in the order of a BFS that multiplies each element
+    found by every generator on the right, or None once it passes ``cap``
+    elements."""
+    F = field_create(q)
+    elems = [MAT3_IDENTITY]
+    parent = [(-1, -1)]
+    ids = {MAT3_IDENTITY: 0}
+    for head, x in enumerate(elems):  # the list grows as the BFS goes
+        for k, g in enumerate(gens):
+            y = F.mat_mul(x, g)
+            if y not in ids:
+                if len(elems) == cap:
+                    return None
+                ids[y] = len(elems)
+                elems.append(y)
+                parent.append((head, k))
+    return elems, parent, [ids[F.mat_inv(x)] for x in elems]

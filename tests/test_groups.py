@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ingleton.constructions import supersoluble_family
 from ingleton.errors import (
@@ -10,7 +11,9 @@ from ingleton.errors import (
     NotNormal,
     OrderCapExceeded,
 )
+from ingleton.fields import MAT3_IDENTITY, field_create
 from ingleton.groups import (
+    DEFAULT_ORDER_CAP,
     Named,
     Quotient,
     build_group,
@@ -19,6 +22,7 @@ from ingleton.groups import (
     matrix_spec,
     parse_word,
     perm_spec,
+    quotient_by_bits,
     quotient_group,
     spec_from_json,
     spec_to_json,
@@ -31,6 +35,7 @@ from ingleton.subgroups import (
 )
 
 from conftest import named, product
+from oracles import matrix_closure
 
 
 def test_cycle_parse_format_roundtrip():
@@ -137,17 +142,93 @@ def test_dense_table_matches_concrete_products(make):
 
 @pytest.mark.parametrize("q", [7, 8, 9])
 def test_sparse_inverses_are_two_sided(q):
-    # past the order cap there is no table: inv comes from the BFS tree alone,
-    # so check every element against its concrete matrix product (q = 8, 9
-    # are prime powers)
-    from ingleton.fields import MAT3_IDENTITY, field_create
-
+    # past the order cap there is no table: inv comes from the closure's right
+    # columns alone, so check every element against its concrete matrix
+    # product (q = 8, 9 are prime powers)
     G = supersoluble_family(q).group
     assert G.mul_table is None
-    mat_mul, elems = field_create(q).mat_mul, G._elems
+    mat_mul = field_create(q).mat_mul
     for a in range(G.n):
-        ea, eb = elems[a], elems[G.inv[a]]
+        ea, eb = G.element(a), G.element(G.inv[a])
         assert mat_mul(ea, eb) == MAT3_IDENTITY == mat_mul(eb, ea)
+
+
+def _s5_x_s4_x_c2():
+    return build_group(product(product(named("sym", 5), named("sym", 4)), named("cyclic", 2)), cap=6000)
+
+
+def _s5_x_s4_x_c2_mod_c2():
+    G = _s5_x_s4_x_c2()
+    return quotient_by_bits(G, closure_ids(G, [G.gen_ids[-1]]))[0]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_s5_x_s4_x_c2, _s5_x_s4_x_c2_mod_c2],
+    ids=["S5xS4xC2", "S5xS4xC2/C2"],
+)
+def test_sparse_product_and_quotient_inverses_are_two_sided(make):
+    # a product or quotient past the table limit also reads its inverses off
+    # the right columns; G.mul multiplies the concrete pairs or cosets
+    G = make()
+    assert G.n > DEFAULT_ORDER_CAP and G.mul_table is None
+    for a in range(G.n):
+        assert G.mul(a, G.inv[a]) == 0 == G.mul(G.inv[a], a)
+
+
+def _assert_matches_plain_closure(G, expected):
+    # the packed build decodes to the plain BFS: same element order, parent
+    # tree and inverses; G.mul on sampled pairs is mat_mul on the matrices
+    elems, parent, inv = expected
+    assert [G.element(i) for i in range(G.n)] == elems
+    assert G._parent == parent
+    assert G.inv == inv
+    mat_mul = field_create(G.spec.q).mat_mul
+    rng = random.Random(G.n)
+    for _ in range(200):
+        a, b = rng.randrange(G.n), rng.randrange(G.n)
+        assert G.element(G.mul(a, b)) == mat_mul(elems[a], elems[b])
+        assert G.element_id(elems[a]) == a
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_packed_matrix_build_matches_plain_closure(q):
+    G = supersoluble_family(q).group
+    _assert_matches_plain_closure(G, matrix_closure(q, G.spec.generators, G.n))
+
+
+@st.composite
+def _invertible_pairs(draw):
+    """A field size q <= 5 and two invertible 3x3 matrices over GF(q); half
+    the draws are upper triangular, whose groups more often fit the cap."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    triangular = draw(st.booleans())
+    entry, unit = st.integers(0, q - 1), st.integers(1, q - 1)
+    F = field_create(q)
+    pair = []
+    for _ in range(2):
+        if triangular:
+            a, b, c, d, e, f = draw(st.tuples(unit, entry, entry, unit, entry, unit))
+            m = (a, b, c, 0, d, e, 0, 0, f)
+        else:
+            m = draw(st.tuples(*[entry] * 9))
+            assume(F.mat_det(m) != 0)
+        pair.append(m)
+    return q, tuple(pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_invertible_pairs())
+def test_packed_matrix_build_matches_plain_closure_on_drawn_generators(drawn):
+    q, gens = drawn
+    cap = 3000
+    expected = matrix_closure(q, gens, cap)
+    if expected is None:
+        with pytest.raises(OrderCapExceeded):
+            build_group(matrix_spec(q, gens), cap=cap)
+        return
+    G = build_group(matrix_spec(q, gens), cap=cap)
+    _assert_matches_plain_closure(G, expected)
 
 
 def test_invalid_permutation_generator():
